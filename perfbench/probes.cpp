@@ -208,6 +208,7 @@ ProbeResults run_probes(const Workload& workload,
   std::vector<double> run_ms;
   double run_ns = 0.0;
   double armed_ns = 0.0;
+  double recorded_ns = 0.0;
   std::uint64_t rounds = 0;
   std::uint64_t blocks = 0;
   Activity total;
@@ -272,16 +273,30 @@ ProbeResults run_probes(const Workload& workload,
       }
       const double armed_run_ns = ns_since(start);
 
+      // The same observer without the oracle: subtracted from the armed
+      // run, so sim.oracle_ns_per_round counts the oracle alone.
+      Recorder bare(0);
+      std::unique_ptr<sm::ExecutionEngine> reference = make();
+      start = Clock::now();
+      const sm::RunResult recorded = reference->run(
+          [&](const sm::ExecutionEngine& e, std::uint64_t r) {
+            bare.observe(e, r);
+          });
+      const double recorded_run_ns = ns_since(start);
+
       out.checks.check(
           same_result(unobserved, counted) &&
-              same_result(unobserved, armed_result),
+              same_result(unobserved, armed_result) &&
+              same_result(unobserved, recorded),
           workload.name + ": observed run differs from the unobserved run");
-      out.checks.check(again.activity == observed.recorder.activity,
+      out.checks.check(again.activity == observed.recorder.activity &&
+                           bare.activity == observed.recorder.activity,
                        workload.name + ": nondeterministic round activity");
 
       run_ms.push_back(1e-6 * plain_ns);
       run_ns += plain_ns;
       armed_ns += armed_run_ns;
+      recorded_ns += recorded_run_ns;
       rounds += engine.rounds;
       blocks += unobserved.store_size - 1;
       total.rounds += observed.recorder.activity.rounds;
@@ -311,7 +326,8 @@ ProbeResults run_probes(const Workload& workload,
       share(double(total.delivered), double(blocks));
   m["sim.adoptions_per_delivery"] =
       share(double(total.adoptions), double(total.delivered));
-  m["sim.oracle_ns_per_round"] = share(armed_ns - run_ns, double(rounds));
+  m["sim.oracle_ns_per_round"] =
+      share(armed_ns - recorded_ns, double(rounds));
 
   if (largest.engine) {
     layer_probes(*largest.engine, largest.recorder, largest_delta, tracer, m);
