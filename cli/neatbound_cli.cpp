@@ -61,7 +61,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -138,6 +140,16 @@ class DiscardTraceSink final : public sim::RoundTraceSink {
   void on_round(const sim::RoundRecord&) override {}
 };
 
+/// A parsed --flag value narrowed to uint32_t; an out-of-range value
+/// fails naming the flag instead of wrapping.
+std::uint32_t flag_u32(const std::string& flag, std::uint64_t value) {
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::runtime_error("--" + flag + ": " + std::to_string(value) +
+                             " is out of range (max 4294967295)");
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 int run_command(int argc, char** argv) {
   // `run <path> [flags]`; `run --help` (no path) still prints the flags.
   const bool has_path =
@@ -151,7 +163,7 @@ int run_command(int argc, char** argv) {
   scenario::SpecOverrides overrides;
   if (const auto v = args.get_opt_uint(
           "miners", "override engine miner count (spec value otherwise)")) {
-    overrides.miners = static_cast<std::uint32_t>(*v);
+    overrides.miners = flag_u32("miners", *v);
   }
   overrides.nu = args.get_opt_double(
       "nu", "override adversary fraction (spec value otherwise)");
@@ -161,26 +173,13 @@ int run_command(int argc, char** argv) {
       "rounds", "override rounds per run (spec value otherwise)");
   if (const auto v = args.get_opt_uint(
           "seeds", "override seeds per cell (spec value otherwise)")) {
-    overrides.seeds = static_cast<std::uint32_t>(*v);
+    overrides.seeds = flag_u32("seeds", *v);
   }
   overrides.base_seed = args.get_opt_uint(
       "base-seed", "override base seed (spec value otherwise)");
   overrides.violation_t = args.get_opt_uint(
       "violation-t", "override consistency depth T (spec value otherwise)");
-  const std::string rng_override = args.get_string(
-      "rng", "", "override the RNG discipline: counter | legacy");
-  if (!rng_override.empty()) {
-    if (rng_override != "counter" && rng_override != "legacy") {
-      std::cerr << "neatbound_cli run: --rng expects counter or legacy\n";
-      return 2;
-    }
-    overrides.rng = rng_override;
-  }
   scenario::ScenarioRunOptions run_options;
-  run_options.batch_seeds = static_cast<std::uint32_t>(args.get_uint(
-      "batch-seeds", 1,
-      "run W seeds of a cell as one lockstep batched pass (counter RNG "
-      "only; results are bit-identical for every W)"));
   run_options.checkpoint_path = args.get_string(
       "checkpoint", "", "snapshot accumulators here after every wave");
   if (run_options.checkpoint_path == "true") {
@@ -189,9 +188,11 @@ int run_command(int argc, char** argv) {
   }
   run_options.resume = args.get_bool(
       "resume", false, "resume the --checkpoint file if it exists");
-  run_options.stop_after_waves = static_cast<std::uint32_t>(args.get_uint(
-      "stop-after-waves", 0,
-      "interrupt after N scheduling waves, exit 3 (0 = run to the end)"));
+  run_options.stop_after_waves = flag_u32(
+      "stop-after-waves",
+      args.get_uint(
+          "stop-after-waves", 0,
+          "interrupt after N scheduling waves, exit 3 (0 = run to the end)"));
   const std::string trace_path = args.get_string(
       "trace", "", "write a per-round JSONL trace of one dedicated run");
   const std::string trace_rounds_text = args.get_string(

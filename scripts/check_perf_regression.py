@@ -80,18 +80,6 @@ def main() -> int:
     ok = gate("serial", throughput(base, args.baseline, "rounds_per_sec"),
               throughput(cur, args.current, "rounds_per_sec"),
               args.max_regression)
-    # Mode-aware batched gate: enforced only when both sides carry the
-    # batched row (older history entries predate the batch engine; a
-    # current run without the row means --batch-seeds was 0, which the
-    # CI invocation never does).
-    if "batched_rounds_per_sec" in base and "batched_rounds_per_sec" in cur:
-        ok = gate("batched",
-                  throughput(base, args.baseline, "batched_rounds_per_sec"),
-                  throughput(cur, args.current, "batched_rounds_per_sec"),
-                  args.max_regression) and ok
-    elif "batched_rounds_per_sec" in cur:
-        print("batched: no baseline row yet — skipping (will be gated once "
-              "the history records one)")
     if not ok:
         return 1
     print("OK: within the regression budget")

@@ -195,7 +195,7 @@ ARTIFACT_FORMAT = "neatbound-violation-v2"
 ARTIFACT_KEYS = ("format", "engine", "violation_t", "oracle", "adversary",
                  "network", "violation", "views", "trace")
 ENGINE_KEYS = ("miners", "nu", "delta", "rounds", "p", "seed", "rng")
-RNG_MODES = ("counter", "legacy")
+RNG_MODES = ("counter",)
 ORACLE_KEYS = ("common_prefix", "common_prefix_t", "growth_window",
                "growth_min_blocks", "quality_window", "quality_min_ratio",
                "slice_rounds")
@@ -514,7 +514,7 @@ _BAD_ARTIFACTS = [
      "wrong key set"),
     ("artifact-bad-nu", _mutated(["engine", "nu"], -0.4),
      "engine.nu"),
-    ("artifact-bad-rng", _mutated(["engine", "rng"], "sequential"),
+    ("artifact-bad-rng", _mutated(["engine", "rng"], "legacy"),
      "engine.rng"),
     ("artifact-bad-invariant",
      _mutated(["violation", "invariant"], "common-suffix"),

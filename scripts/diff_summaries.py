@@ -7,17 +7,16 @@ Usage:
 Compares the full documents key by key and exits 1 on the first
 difference, printing every diverging path.  Meta keys that legitimately
 vary between otherwise-identical runs are ignored: wall-clock timings
-(elapsed_seconds and anything ending in _seconds), thread counts, and
-the batch width — CI uses this to assert that `neatbound_cli run
---batch-seeds W` reproduces the serial summary bit for bit (the batched
-pass is an execution schedule, not a semantic knob), so the one knob
-that *names* the schedule must not count as a difference.
+(elapsed_seconds and anything ending in _seconds) and thread counts.
+Use it to show that a change keeps every bundled scenario's
+`neatbound_cli run --json` summary identical to the parent commit's, or
+that a summary does not depend on --threads.
 """
 import argparse
 import json
 import sys
 
-DEFAULT_IGNORED = {"elapsed_seconds", "threads", "batch_seeds"}
+DEFAULT_IGNORED = {"elapsed_seconds", "threads"}
 
 
 def volatile(key: str, ignored: set[str]) -> bool:

@@ -27,16 +27,16 @@ regress — each rule encodes a bug class a previous PR fixed by hand:
   rng-stream          no std::<...>_distribution, no std RNG engines,
                       no <random> include — their sequences are
                       implementation-defined (non-reproducible across
-                      standard libraries).  Since the counter-based
-                      generator landed, the sequential support::Rng is
-                      additionally banned outside support/ itself: its
-                      hidden stream state is order-dependent, which is
-                      exactly what the cross-seed batched engine cannot
-                      replay.  New draws go through support/crng.hpp,
-                      addressed as (key = (cell, seed), counter =
-                      (round, actor, purpose, slot)); the RngMode::
-                      kLegacy compatibility sites carry in-source
-                      allows until the legacy path is retired.
+                      standard libraries).  The sequential
+                      support::Rng is additionally banned outside
+                      support/ itself: its hidden stream state is
+                      order-dependent, so a skipped or replayed round
+                      could not reproduce its draws.  New draws go
+                      through support/crng.hpp, addressed as (key =
+                      (cell, seed), counter = (round, actor, purpose,
+                      slot)); the few analysis-side and protocol-
+                      primitive sites that own a stream they never
+                      replay out of order carry in-source allows.
   contract-coverage   every public mutating method defined in
                       protocol/, net/ and exp/ with a non-trivial body
                       (>= 2 statements) contains at least one
@@ -154,10 +154,9 @@ RNG_PATTERNS = [
      "<random> is banned in src/ and cli/"),
 ]
 
-# The legacy sequential generator (support/rng.hpp) by unqualified class
-# name.  Does not match crng:: (no word boundary before the R) or RngMode
-# (no word boundary after the g).
-LEGACY_RNG_RE = re.compile(r"\bRng\b")
+# The sequential generator (support/rng.hpp) by unqualified class name.
+# Does not match crng:: (no word boundary before the R).
+SEQUENTIAL_RNG_RE = re.compile(r"\bRng\b")
 
 # Simulation-core modules may not grow private file writers; the single
 # exemption is the sanctioned bounded trace serializer.
@@ -624,20 +623,18 @@ def rule_rng(model: Model) -> list[Finding]:
                            f"so every draw stays addressable as "
                            f"(key, counter)")
                     break
-            # The sequential support::Rng is the pre-counter legacy path:
-            # hidden state makes draw N depend on draws 1..N-1, which is
-            # exactly what the batched engine cannot replay out of order.
-            # It survives behind RngMode::kLegacy for one release; those
-            # sites carry allows.  `\bRng\b` does not match crng:: or
-            # RngMode, and support/ itself (where Rng is defined) is
+            # The sequential support::Rng: hidden state makes draw N
+            # depend on draws 1..N-1, so nothing that skips or replays
+            # rounds out of order may use it.  `\bRng\b` does not match
+            # crng::, and support/ itself (where Rng is defined) is
             # exempt.
             if hit is None and fm.module != "support" \
-                    and LEGACY_RNG_RE.search(line):
+                    and SEQUENTIAL_RNG_RE.search(line):
                 hit = ("sequential support::Rng draw outside support/: "
                        "hidden stream state is order-dependent and blocks "
-                       "batched replay; new code keys draws through "
-                       "support/crng.hpp (legacy-mode sites carry an "
-                       "allow until kLegacy is retired)")
+                       "out-of-order replay; key draws through "
+                       "support/crng.hpp, or allow a stream that is never "
+                       "replayed with a written reason")
             if hit is not None:
                 out.append(Finding(fm.rel, lineno, "rng-stream", hit))
     return out

@@ -15,8 +15,8 @@ class RandomWalk {
  public:
   /// Starts at `start`; the walk owns its RNG stream.
   // neatbound-analyze: allow(rng-stream) — analysis-side Monte Carlo
-  // cross-check, never batched or replayed out of order; a
-  // crng::Purpose::kWalk migration is reserved but not yet scheduled.
+  // cross-check, never replayed out of order; a crng::Purpose::kWalk
+  // migration is reserved but not yet scheduled.
   RandomWalk(const TransitionMatrix& matrix, std::size_t start, Rng rng);
 
   /// Takes one step; returns the new state.

@@ -18,7 +18,6 @@
 #include "support/crng.hpp"
 #include "support/hot.hpp"
 #include "support/invariant.hpp"
-#include "support/rng.hpp"
 
 namespace neatbound::net {
 
@@ -106,7 +105,7 @@ class DeliveryCalendar {
   /// True iff anything is due at or before `round`.  Advances past empty
   /// buckets exactly as drain_due would, so interleaving has_due with
   /// drain_due keeps the ring state identical to calling drain_due alone
-  /// — the counter-mode quiet-round check relies on that equivalence.
+  /// — the engine's quiet-round check relies on that equivalence.
   // neatbound-analyze: allow(hot-hygiene) — mutating by design: the whole
   // point is to advance base_round_ exactly as drain_due would.
   [[nodiscard]] NEATBOUND_HOT bool has_due(std::uint64_t round) noexcept {
@@ -218,37 +217,11 @@ class MaxDelayDelivery final : public DeliverySchedule {
 };
 
 /// Random delays uniform on [1, Δ] — a non-adversarial jittery network.
-/// Legacy-mode counterpart of CounterUniformDelay below; reachable only
-/// when the scenario runs with RngMode::kLegacy.
-class UniformRandomDelay final : public DeliverySchedule {
- public:
-  // neatbound-analyze: allow(rng-stream) — RngMode::kLegacy compatibility
-  // path, kept bit-stable for one release; counter mode uses
-  // CounterUniformDelay.
-  UniformRandomDelay(std::uint64_t delta, Rng rng) : delta_(delta), rng_(rng) {
-    NEATBOUND_EXPECTS(delta >= 1, "delta must be >= 1");
-  }
-  [[nodiscard]] std::uint64_t delay(std::uint64_t, std::uint32_t,
-                                    std::uint32_t,
-                                    protocol::BlockIndex) override {
-    return 1 + rng_.uniform_below(delta_);
-  }
-  [[nodiscard]] std::uint64_t max_delay() const noexcept override {
-    return delta_;
-  }
-
- private:
-  std::uint64_t delta_;
-  // neatbound-analyze: allow(rng-stream) — legacy-mode stream state (above)
-  Rng rng_;
-};
-
-/// Counter-mode jittery network: the same delay distribution as
-/// UniformRandomDelay, but every delay is a pure function of
-/// (key, round, sender, recipient) — no stream state — so serial,
-/// batched and replayed runs read identical delays regardless of draw
-/// order.  Each honest miner broadcasts at most one block per round, so
-/// (round, sender, recipient) addresses every delay draw uniquely.
+/// Every delay is a pure function of (key, round, sender, recipient) — no
+/// stream state — so skipped, stepped and replayed runs read identical
+/// delays regardless of draw order.  Each honest miner broadcasts at most
+/// one block per round, so (round, sender, recipient) addresses every
+/// delay draw uniquely.
 class CounterUniformDelay final : public DeliverySchedule {
  public:
   CounterUniformDelay(std::uint64_t delta, crng::Key key)

@@ -17,7 +17,7 @@
 //                     admits (victims cannot be cut off outright).
 //
 // Together with delivery.hpp's ImmediateDelivery / MaxDelayDelivery /
-// UniformRandomDelay / SplitDelivery these are the network models the
+// CounterUniformDelay / SplitDelivery these are the network models the
 // scenario registry exposes by name.
 #pragma once
 

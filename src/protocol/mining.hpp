@@ -21,23 +21,16 @@ namespace neatbound::protocol {
                                             const PowTarget& target,
                                             HashValue parent_hash,
                                             std::uint64_t payload_digest,
-    // neatbound-analyze: allow(rng-stream) — legacy-mode entry point
+    // neatbound-analyze: allow(rng-stream) — protocol primitive; the
+    // caller owns the nonce stream
                                             Rng& rng);
 
-/// Batched-RNG variant: the caller supplies the nonce η it drew itself —
-/// the engine pre-draws one dense block of nonces for a whole round of
-/// honest queries (same stream, same order as per-query draws, so results
-/// are bit-identical) instead of interleaving RNG steps with hashing.
-[[nodiscard]] std::optional<Block> try_mine_with_nonce(
-    const RandomOracle& oracle, const PowTarget& target,
-    HashValue parent_hash, std::uint64_t payload_digest, std::uint64_t nonce);
-
-/// Counter-mode assembly: success of the query was already decided by the
+/// The engine's assembly: success of the query was already decided by the
 /// addressable Bernoulli(p) field (sim/draws.hpp), so no target test is
 /// performed here — the block is assembled unconditionally.  Its hash
 /// still commits to (parent, nonce, payload) via the oracle, so hash
-/// linkage and H.ver hold exactly as in legacy mode; only the per-block
-/// ≤-target certificate is absent (see ValidationPolicy and
+/// linkage and H.ver hold exactly as for try_mine; only the per-block
+/// ≤-target certificate is absent (see the 3-argument validate_chain and
 /// docs/correctness.md — the paper's analysis uses the per-query success
 /// probability p and collision-free ids, never the certificate itself).
 [[nodiscard]] Block assemble_block(const RandomOracle& oracle,

@@ -2,10 +2,12 @@
 
 namespace neatbound::protocol {
 
-ValidationReport validate_chain(const BlockStore& store, BlockIndex tip,
-                                const RandomOracle& oracle,
-                                const PowTarget& target,
-                                ValidationPolicy policy) {
+namespace {
+
+/// Both overloads: `target` is null when no proof-of-work check applies.
+ValidationReport check_chain(const BlockStore& store, BlockIndex tip,
+                             const RandomOracle& oracle,
+                             const PowTarget* target) {
   const auto chain = store.chain_to(tip);
   for (std::size_t i = 1; i < chain.size(); ++i) {
     const BlockIndex b = chain[i];
@@ -28,7 +30,7 @@ ValidationReport validate_chain(const BlockStore& store, BlockIndex tip,
       return ValidationReport::fail("H.ver failed at height " +
                                     std::to_string(height));
     }
-    if (policy.check_pow_target && !target.satisfied_by(store.hash_of(b))) {
+    if (target != nullptr && !target->satisfied_by(store.hash_of(b))) {
       return ValidationReport::fail("proof of work misses target at height " +
                                     std::to_string(height));
     }
@@ -36,10 +38,17 @@ ValidationReport validate_chain(const BlockStore& store, BlockIndex tip,
   return ValidationReport::ok();
 }
 
+}  // namespace
+
+ValidationReport validate_chain(const BlockStore& store, BlockIndex tip,
+                                const RandomOracle& oracle) {
+  return check_chain(store, tip, oracle, nullptr);
+}
+
 ValidationReport validate_chain(const BlockStore& store, BlockIndex tip,
                                 const RandomOracle& oracle,
                                 const PowTarget& target) {
-  return validate_chain(store, tip, oracle, target, ValidationPolicy{});
+  return check_chain(store, tip, oracle, &target);
 }
 
 }  // namespace neatbound::protocol

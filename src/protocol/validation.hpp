@@ -20,27 +20,18 @@ struct ValidationReport {
   }
 };
 
-/// Which checks validate_chain applies.  Counter-mode executions
-/// (EngineConfig::rng_mode == kCounter) decide query success via an
-/// addressable Bernoulli field rather than a hash-vs-target comparison,
-/// so their block hashes are full-range uniform and carry no ≤-target
-/// certificate — such chains validate with check_pow_target off, while
-/// hash linkage, H.ver, height and round checks always apply.
-struct ValidationPolicy {
-  bool check_pow_target = true;
-};
-
-/// Validates the full chain from genesis to `tip` against the oracle and
-/// target: every block's hash must verify (H.ver), satisfy the PoW target
-/// (when the policy asks for it), link to its parent's hash, increase
-/// height by one, and not precede its parent's round.
+/// Validates the full chain from genesis to `tip` against the oracle:
+/// every block's hash must verify (H.ver), link to its parent's hash,
+/// increase height by one, and not precede its parent's round.  This is
+/// how engine chains validate: the engine decides query success through
+/// an addressable Bernoulli field (protocol::assemble_block), so its
+/// block hashes are full-range uniform and carry no ≤-target certificate.
 [[nodiscard]] ValidationReport validate_chain(const BlockStore& store,
                                               BlockIndex tip,
-                                              const RandomOracle& oracle,
-                                              const PowTarget& target,
-                                              ValidationPolicy policy);
+                                              const RandomOracle& oracle);
 
-/// Legacy-policy overload: all checks on.
+/// The same checks plus proof-of-work: every block's hash must also
+/// satisfy `target` (chains mined with protocol::try_mine).
 [[nodiscard]] ValidationReport validate_chain(const BlockStore& store,
                                               BlockIndex tip,
                                               const RandomOracle& oracle,

@@ -119,21 +119,17 @@ sim::EngineConfig parse_engine(const JsonValue& engine) {
                       {"miners", "nu", "delta", "rounds", "p", "seed", "rng"},
                       "engine");
   sim::EngineConfig config;
-  config.miner_count = static_cast<std::uint32_t>(
-      require(engine, "miners", "engine").as_uint());
+  config.miner_count =
+      require(engine, "miners", "engine").as_uint32("engine.miners");
   config.adversary_fraction = require(engine, "nu", "engine").as_number();
   config.p = require(engine, "p", "engine").as_number();
   config.delta = require(engine, "delta", "engine").as_uint();
   config.rounds = require(engine, "rounds", "engine").as_uint();
   config.seed = require(engine, "seed", "engine").as_uint();
+  // Kept in the format for compatibility; counter is the only discipline.
   const std::string rng = require(engine, "rng", "engine").as_string();
-  if (rng == "counter") {
-    config.rng_mode = sim::RngMode::kCounter;
-  } else if (rng == "legacy") {
-    config.rng_mode = sim::RngMode::kLegacy;
-  } else {
-    artifact_error("engine: rng must be 'counter' or 'legacy', got '" + rng +
-                   "'");
+  if (rng != "counter") {
+    artifact_error("engine: rng must be 'counter', got '" + rng + "'");
   }
   try {
     sim::validate_engine_config(config);
@@ -200,10 +196,10 @@ sim::OracleViolation parse_violation(const JsonValue& violation) {
   out.round = require(violation, "round", "violation").as_uint();
   out.measured = require(violation, "measured", "violation").as_uint();
   out.bound = require(violation, "bound", "violation").as_uint();
-  out.view_a = static_cast<std::uint32_t>(
-      require(violation, "view_a", "violation").as_uint());
-  out.view_b = static_cast<std::uint32_t>(
-      require(violation, "view_b", "violation").as_uint());
+  out.view_a =
+      require(violation, "view_a", "violation").as_uint32("violation.view_a");
+  out.view_b =
+      require(violation, "view_b", "violation").as_uint32("violation.view_b");
   if (out.round == 0) {
     artifact_error("violation: rounds are 1-based");
   }
@@ -224,8 +220,7 @@ sim::ViewSnapshot parse_view(const JsonValue& view, std::size_t index) {
   if (!view.is_object()) artifact_error(where + ": expected a JSON object");
   reject_unknown_keys(view, {"miner", "tip", "height", "hash"}, where);
   sim::ViewSnapshot snapshot;
-  snapshot.miner =
-      static_cast<std::uint32_t>(require(view, "miner", where).as_uint());
+  snapshot.miner = require(view, "miner", where).as_uint32(where + ".miner");
   snapshot.tip = static_cast<protocol::BlockIndex>(
       require(view, "tip", where).as_uint());
   snapshot.height = require(view, "height", where).as_uint();
@@ -266,10 +261,8 @@ void write_artifact(std::ostream& os, const ViolationArtifact& artifact) {
      << ",\"delta\":" << u(artifact.engine.delta)
      << ",\"rounds\":" << u(artifact.engine.rounds)
      << ",\"p\":" << exp::exact_double_repr(artifact.engine.p)
-     << ",\"seed\":" << u(artifact.engine.seed) << ",\"rng\":\""
-     << (artifact.engine.rng_mode == sim::RngMode::kCounter ? "counter"
-                                                            : "legacy")
-     << "\"},\n";
+     << ",\"seed\":" << u(artifact.engine.seed)
+     << ",\"rng\":\"counter\"},\n";
   os << "\"violation_t\":" << u(artifact.violation_t) << ",\n";
   const sim::OracleConfig& oracle = artifact.oracle;
   os << "\"oracle\":{\"common_prefix\":"

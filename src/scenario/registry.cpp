@@ -7,7 +7,7 @@
 #include "net/models.hpp"
 #include "sim/schedule_adversary.hpp"
 #include "sim/strategies.hpp"
-#include "support/rng.hpp"
+#include "support/rng.hpp"  // mix64 only (stateless key hashing)
 
 namespace neatbound::scenario {
 
@@ -146,22 +146,14 @@ void register_builtin_networks(ScenarioRegistry& registry) {
       [](const Params& params, const sim::EngineConfig& engine,
          std::uint32_t) {
         const std::uint64_t salt = params.get_uint("salt", 0);
-        if (engine.rng_mode == sim::RngMode::kCounter) {
-          // Counter mode: the delay of (round, sender, recipient) is a
-          // pure function of the run key — batched/serial/replayed runs
-          // read identical delays.  The salt shifts the cell word so two
-          // salted models on one run stay independent.
-          crng::Key key = sim::engine_rng_key(engine);
-          key.cell ^= mix64(0x756e69666f726dULL + salt);  // "uniform"
-          return std::unique_ptr<net::DeliverySchedule>(
-              std::make_unique<net::CounterUniformDelay>(engine.delta, key));
-        }
+        // The delay of (round, sender, recipient) is a pure function of
+        // the run key, so skipped/stepped/replayed runs read identical
+        // delays.  The salt shifts the cell word so two salted models on
+        // one run stay independent.
+        crng::Key key = sim::engine_rng_key(engine);
+        key.cell ^= mix64(0x756e69666f726dULL + salt);  // "uniform"
         return std::unique_ptr<net::DeliverySchedule>(
-            std::make_unique<net::UniformRandomDelay>(
-                engine.delta,
-                // neatbound-analyze: allow(rng-stream) — kLegacy branch,
-                // bit-stable seeding kept for one release
-                Rng(mix64(engine.seed ^ (0x9e3779b97f4a7c15ULL + salt)))));
+            std::make_unique<net::CounterUniformDelay>(engine.delta, key));
       });
 
   registry.register_network(

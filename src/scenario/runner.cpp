@@ -1,6 +1,9 @@
 #include "scenario/runner.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "bounds/zhao.hpp"
@@ -10,7 +13,6 @@ namespace neatbound::scenario {
 
 void apply_overrides(ScenarioSpec& spec, const SpecOverrides& overrides) {
   if (overrides.miners) spec.miners = *overrides.miners;
-  if (overrides.rng) spec.rng = *overrides.rng;
   if (overrides.nu) spec.nu = *overrides.nu;
   if (overrides.delta) spec.delta = *overrides.delta;
   if (overrides.rounds) spec.rounds = *overrides.rounds;
@@ -45,21 +47,39 @@ double axis_or(const ScenarioSpec& spec, const exp::GridPoint& point,
   return spec.has_axis(axis) ? point.value(axis) : fallback;
 }
 
+/// An integer engine field from its axis, or `fallback` without one.  A
+/// double→integer cast is undefined for a value the integer cannot hold,
+/// so non-finite, non-integral and out-of-range axis values are rejected
+/// by name instead.
+template <typename T>
+T integer_axis_or(const ScenarioSpec& spec, const exp::GridPoint& point,
+                  const std::string& axis, T fallback) {
+  if (!spec.has_axis(axis)) return fallback;
+  const double value = point.value(axis);
+  // 2^digits is exactly representable and is the first value T cannot hold.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!std::isfinite(value) || value != std::floor(value) || value < 0.0 ||
+      value >= limit) {
+    std::ostringstream os;
+    os << "axis \"" << axis << "\": value " << value
+       << " is not an integer in [0, 2^" << std::numeric_limits<T>::digits
+       << ")";
+    throw std::runtime_error(os.str());
+  }
+  return static_cast<T>(value);
+}
+
 }  // namespace
 
 sim::ExperimentConfig build_config(const ScenarioSpec& spec,
                                    const exp::GridPoint& point) {
   sim::ExperimentConfig config;
-  config.engine.miner_count = static_cast<std::uint32_t>(
-      axis_or(spec, point, "miners", static_cast<double>(spec.miners)));
+  config.engine.miner_count =
+      integer_axis_or(spec, point, "miners", spec.miners);
   config.engine.adversary_fraction = axis_or(spec, point, "nu", spec.nu);
-  config.engine.delta = static_cast<std::uint64_t>(
-      axis_or(spec, point, "delta", static_cast<double>(spec.delta)));
-  config.engine.rounds = static_cast<std::uint64_t>(
-      axis_or(spec, point, "rounds", static_cast<double>(spec.rounds)));
+  config.engine.delta = integer_axis_or(spec, point, "delta", spec.delta);
+  config.engine.rounds = integer_axis_or(spec, point, "rounds", spec.rounds);
   config.engine.p = axis_or(spec, point, "p", spec.p);
-  config.engine.rng_mode =
-      spec.rng == "legacy" ? sim::RngMode::kLegacy : sim::RngMode::kCounter;
 
   if (spec.hardness_mode == "neat-bound-multiple") {
     // Operation-for-operation the arithmetic of bench_consistency_sweep:
@@ -136,7 +156,6 @@ exp::AdaptiveOptions resolve_adaptive_options(
   adaptive.checkpoint_path = options.checkpoint_path;
   adaptive.resume = options.resume;
   adaptive.stop_after_waves = options.stop_after_waves;
-  adaptive.batch_seeds = options.batch_seeds;
   adaptive.progress = options.progress;
   // The automatic fingerprint only sees engine configs; the registry
   // components (and their parameters) decide what those configs *run*,

@@ -39,7 +39,6 @@ struct SpecOverrides {
   std::optional<std::uint32_t> seeds;
   std::optional<std::uint64_t> base_seed;
   std::optional<std::uint64_t> violation_t;
-  std::optional<std::string> rng;  ///< "counter" | "legacy"
 };
 
 void apply_overrides(ScenarioSpec& spec, const SpecOverrides& overrides);
@@ -48,8 +47,10 @@ void apply_overrides(ScenarioSpec& spec, const SpecOverrides& overrides);
 [[nodiscard]] exp::SweepGrid build_grid(const ScenarioSpec& spec);
 
 /// One grid point's experiment config: engine defaults, axis overrides,
-/// then the hardness rule for p.  Throws (via validate_engine_config) on
-/// unusable parameter combinations.
+/// then the hardness rule for p.  Throws std::runtime_error naming the
+/// axis when a miners/delta/rounds axis value is not an integer its
+/// engine field can hold, and (via validate_engine_config) on unusable
+/// parameter combinations.
 [[nodiscard]] sim::ExperimentConfig build_config(const ScenarioSpec& spec,
                                                  const exp::GridPoint& point);
 
@@ -62,9 +63,6 @@ struct ScenarioRunOptions {
   /// Interrupt deterministically after N scheduling waves (0 = run to
   /// completion) — the CI/resume-test hook, surfaced by the CLI.
   std::uint32_t stop_after_waves = 0;
-  /// Cross-seed batch width forwarded to exp::AdaptiveOptions::batch_seeds
-  /// (the CLI's --batch-seeds); 0/1 = per-seed runs.
-  std::uint32_t batch_seeds = 1;
   /// Wave-boundary progress callback, forwarded into
   /// exp::AdaptiveOptions::progress (adaptive path only; observation
   /// only, not part of the checkpoint fingerprint).

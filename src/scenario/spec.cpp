@@ -31,6 +31,12 @@ std::uint64_t uint_or(const JsonValue& object, const char* key,
   return v == nullptr ? default_value : v->as_uint();
 }
 
+std::uint32_t uint32_or(const JsonValue& object, const char* key,
+                        std::uint32_t default_value, const std::string& field) {
+  const JsonValue* v = object.find(key);
+  return v == nullptr ? default_value : v->as_uint32(field);
+}
+
 std::string string_or(const JsonValue& object, const char* key,
                       const std::string& default_value) {
   const JsonValue* v = object.find(key);
@@ -82,12 +88,11 @@ AdaptiveSpec parse_adaptive(const JsonValue& adaptive) {
       {"min_seeds", "batch", "max_seeds", "half_width", "confidence"},
       "adaptive");
   AdaptiveSpec out;
-  out.min_seeds = static_cast<std::uint32_t>(
-      uint_or(adaptive, "min_seeds", out.min_seeds));
-  out.batch = static_cast<std::uint32_t>(uint_or(adaptive, "batch",
-                                                 out.batch));
-  out.max_seeds = static_cast<std::uint32_t>(
-      uint_or(adaptive, "max_seeds", out.max_seeds));
+  out.min_seeds =
+      uint32_or(adaptive, "min_seeds", out.min_seeds, "adaptive.min_seeds");
+  out.batch = uint32_or(adaptive, "batch", out.batch, "adaptive.batch");
+  out.max_seeds =
+      uint32_or(adaptive, "max_seeds", out.max_seeds, "adaptive.max_seeds");
   out.half_width = number_or(adaptive, "half_width", out.half_width);
   out.confidence = number_or(adaptive, "confidence", out.confidence);
   if (out.min_seeds == 0) {
@@ -229,23 +234,18 @@ ScenarioSpec parse_scenario(const JsonValue& document) {
   spec.description = string_or(document, "description", "");
 
   if (const JsonValue* engine = document.find("engine")) {
-    reject_unknown_keys(*engine,
-                        {"miners", "nu", "delta", "rounds", "p", "rng"},
+    if (engine->find("rng") != nullptr) {
+      throw std::runtime_error(
+          "engine.rng is no longer supported: every run uses the counter "
+          "RNG; remove the key");
+    }
+    reject_unknown_keys(*engine, {"miners", "nu", "delta", "rounds", "p"},
                         "engine");
-    spec.miners = static_cast<std::uint32_t>(
-        uint_or(*engine, "miners", spec.miners));
+    spec.miners = uint32_or(*engine, "miners", spec.miners, "engine.miners");
     spec.nu = number_or(*engine, "nu", spec.nu);
     spec.delta = uint_or(*engine, "delta", spec.delta);
     spec.rounds = uint_or(*engine, "rounds", spec.rounds);
     spec.p = number_or(*engine, "p", spec.p);
-    if (const JsonValue* rng = engine->find("rng")) {
-      spec.rng = rng->as_string();
-      if (spec.rng != "counter" && spec.rng != "legacy") {
-        throw std::runtime_error(
-            "engine.rng must be 'counter' or 'legacy', got \"" + spec.rng +
-            "\"");
-      }
-    }
   }
 
   if (const JsonValue* axes = document.find("axes")) {
@@ -271,8 +271,7 @@ ScenarioSpec parse_scenario(const JsonValue& document) {
         "hardness mode \"c\" needs a \"c\" axis or a positive hardness.c");
   }
 
-  spec.seeds = static_cast<std::uint32_t>(
-      uint_or(document, "seeds", spec.seeds));
+  spec.seeds = uint32_or(document, "seeds", spec.seeds, "seeds");
   if (spec.seeds == 0) {
     throw std::runtime_error("scenario: \"seeds\" must be >= 1");
   }

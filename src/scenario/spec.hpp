@@ -127,8 +127,6 @@ struct ScenarioSpec {
   std::uint64_t delta = 1;
   std::uint64_t rounds = 1000;
   double p = 0.01;
-  /// "counter" (default) or "legacy" — EngineConfig::rng_mode.
-  std::string rng = "counter";
 
   std::string hardness_mode = "fixed";  ///< "fixed" | "c" | "neat-bound-multiple"
   double hardness_c = 0.0;        ///< fallback when no "c" axis (0 = unset)

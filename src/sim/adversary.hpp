@@ -84,7 +84,7 @@ class Adversary {
   /// (or keep withholding) blocks via `ops`.
   virtual void act(AdversaryOps& ops) = 0;
 
-  /// Quiet-round contract (counter-mode fast path): return true iff act()
+  /// Quiet-round contract (the engine's fast path): return true iff act()
   /// is observably a no-op — no publication, no internal state change that
   /// could alter any later action — in every round where (a) no honest
   /// block was mined or delivered since the previous executed act() call
@@ -92,8 +92,8 @@ class Adversary {
   /// strategy must not key decisions on the round number or on how often
   /// act() ran.  Engines may then skip act() entirely in such rounds; the
   /// per-strategy skip-vs-noskip differential test
-  /// (tests/sim/test_batch_equivalence.cpp) enforces the claim.  Default
-  /// false: opting in is a reviewed decision, not an inference.
+  /// (tests/sim/test_quiet_skip_equivalence.cpp) enforces the claim.
+  /// Default false: opting in is a reviewed decision, not an inference.
   [[nodiscard]] virtual bool quiet_act_is_noop() const { return false; }
 
   /// Human-readable strategy name for reports.

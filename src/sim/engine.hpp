@@ -26,7 +26,6 @@
 #include "net/delivery.hpp"
 #include "protocol/block_store.hpp"
 #include "protocol/hash.hpp"
-#include "protocol/validation.hpp"
 #include "sim/adversary.hpp"
 #include "sim/draws.hpp"
 #include "sim/environment.hpp"
@@ -34,26 +33,9 @@
 #include "sim/miner_view.hpp"
 #include "support/crng.hpp"
 #include "support/hot.hpp"
-#include "support/rng.hpp"
 #include "support/telemetry.hpp"
 
 namespace neatbound::sim {
-
-/// Which random-number discipline a run uses.
-///
-/// kCounter (the default) addresses every draw as a pure function of
-/// (key = (cell, seed), counter = (round, actor, purpose)) — see
-/// support/crng.hpp — which makes draws order-independent: the batched
-/// cross-seed engine (sim/batch_engine.hpp) and the serial engine produce
-/// bit-identical trajectories, pinned by tests/sim/test_batch_equivalence.
-///
-/// kLegacy is the pre-counter sequential stream (support/rng.hpp), kept
-/// behind this switch for one release so existing pinned baselines can be
-/// cross-checked; it cannot be batched or quiet-skipped.
-enum class RngMode : std::uint8_t {
-  kLegacy = 0,
-  kCounter = 1,
-};
 
 struct EngineConfig {
   std::uint32_t miner_count = 16;      ///< n (honest + corrupted)
@@ -62,14 +44,12 @@ struct EngineConfig {
   std::uint64_t delta = 1;             ///< Δ, max message delay in rounds
   std::uint64_t rounds = 1000;         ///< T, rounds to execute
   std::uint64_t seed = 1;              ///< master seed (oracle + mining)
-  RngMode rng_mode = RngMode::kCounter;  ///< draw discipline (see RngMode)
 };
 
 /// The counter-RNG key of a run: cell = hash of the trajectory-shaping
 /// parameters (n, ν, p, Δ), seed = the run seed.  `rounds` is excluded on
 /// purpose — truncating the horizon must replay a prefix of the same
-/// trajectory (what the oracle replayer and checkpoint resume rely on) —
-/// and so is rng_mode itself (the key is only consulted in counter mode).
+/// trajectory (what the oracle replayer and checkpoint resume rely on).
 [[nodiscard]] crng::Key engine_rng_key(const EngineConfig& config);
 
 /// Honest miner count the engine derives from a config: n minus
@@ -137,49 +117,12 @@ class ExecutionEngine {
 
   /// Runs the configured number of rounds and returns the metrics.
   /// May be called once per engine instance.  The optional observer fires
-  /// after each round's deliveries, mining and adversary turn.
+  /// after each round's deliveries, mining and adversary turn.  Without
+  /// one, provably quiet rounds are committed in O(1) instead of stepped
+  /// (skip_quiet_rounds); an observer must see every round, so an
+  /// observed run steps them all and is the no-skip reference.  Both give
+  /// the same RunResult (tests/sim/test_quiet_skip_equivalence.cpp).
   [[nodiscard]] RunResult run(const RoundObserver& observer = {});
-
-  // --- stepping API (used by sim/batch_engine to interleave W lanes) ---
-  //
-  // run() is exactly begin_run(); telemetry::reset(); step_round(1..T);
-  // finish_run(true).  External steppers call begin_run once, then for
-  // each round either step_round or (counter mode only) skip_if_quiet,
-  // and finally finish_run.  Telemetry reset is left to the caller so a
-  // batched pass can account one whole-pass snapshot instead of W.
-
-  /// Marks the engine as running and reserves per-round storage.
-  void begin_run();
-  /// Executes one round (deliver → mine → adversary → metrics).  Rounds
-  /// must be stepped in order 1, 2, ..., config.rounds.
-  NEATBOUND_HOT void step_round(std::uint64_t round,
-                                const RoundObserver& observer = {});
-  /// Counter-mode fast path: returns true iff `round` is provably quiet —
-  /// no due deliveries, no honest or adversary mining success, and an
-  /// adversary whose act() is a no-op on such rounds — in which case the
-  /// round is committed in O(1) (zero honest count, unchanged-round
-  /// metrics fold) without executing it.  Returns false (and does
-  /// nothing) when the round must be stepped; always false in legacy
-  /// mode, with an environment attached, or for adversaries that did not
-  /// opt into the quiet-act contract.  Callers that attach a
-  /// RoundObserver must not use this (the observer would miss the round).
-  [[nodiscard]] NEATBOUND_HOT bool skip_if_quiet(std::uint64_t round);
-  /// Bulk form of skip_if_quiet: commits every provably-quiet round of
-  /// `round, round+1, ...` up to and including `last`, stopping at the
-  /// first round that must be stepped, and returns the first round NOT
-  /// committed (== `round` when round itself is busy or the fast path is
-  /// unavailable; == `last + 1` when the whole range was quiet).  The
-  /// whole run of quiet rounds costs O(1): the three event sources name
-  /// their next busy round directly (gap-cursor positions are flat
-  /// (round, slot) addresses; the calendar exposes its earliest pending
-  /// round), so nothing is examined per skipped round.
-  [[nodiscard]] NEATBOUND_HOT std::uint64_t skip_quiet_rounds(
-      std::uint64_t round, std::uint64_t last);
-  /// Assembles the RunResult after the final round.  `take_telemetry`
-  /// controls whether the thread-local telemetry snapshot is attached —
-  /// a batched pass attaches it to lane 0 only (the pass-wide convention
-  /// documented in docs/observability.md).
-  [[nodiscard]] RunResult finish_run(bool take_telemetry);
 
   // --- read-only access for tests / examples after run() ---
   [[nodiscard]] const protocol::BlockStore& store() const noexcept {
@@ -187,15 +130,6 @@ class ExecutionEngine {
   }
   [[nodiscard]] const protocol::RandomOracle& oracle() const noexcept {
     return oracle_;
-  }
-  [[nodiscard]] const protocol::PowTarget& target() const noexcept {
-    return target_;
-  }
-  /// The validation policy matching this run's RNG discipline: counter
-  /// mode assembles blocks without a per-block ≤-target certificate
-  /// (protocol::assemble_block), so only legacy chains carry one.
-  [[nodiscard]] protocol::ValidationPolicy validation_policy() const noexcept {
-    return {.check_pow_target = config_.rng_mode == RngMode::kLegacy};
   }
   [[nodiscard]] std::uint32_t honest_count() const noexcept {
     return honest_count_;
@@ -228,6 +162,26 @@ class ExecutionEngine {
  private:
   class Ops;  // AdversaryOps implementation
 
+  /// Executes one round (deliver → mine → adversary → metrics).  Rounds
+  /// are stepped in order 1, 2, ..., config.rounds.
+  NEATBOUND_HOT void step_round(std::uint64_t round,
+                                const RoundObserver& observer);
+  /// Commits the provably quiet rounds from `round` on — nothing due for
+  /// delivery, no position of either success field — and returns the
+  /// first round that must be stepped (`round` itself when it is busy
+  /// or the fast path is unavailable; past the last round when the rest
+  /// of the run is quiet).  Committing a round (zero honest count,
+  /// unchanged-round metrics fold) is observably identical to stepping
+  /// it.  Unavailable with an environment attached or for adversaries
+  /// that did not opt into the quiet-act contract (sim/adversary.hpp).
+  /// A whole quiet run costs O(1): each event source names its next busy
+  /// round directly, so nothing is examined per skipped round.
+  [[nodiscard]] NEATBOUND_HOT std::uint64_t skip_quiet_rounds(
+      std::uint64_t round);
+  /// Assembles the RunResult after the final round, with this thread's
+  /// telemetry snapshot attached.
+  [[nodiscard]] RunResult finish_run();
+
   NEATBOUND_HOT void deliver_due(std::uint64_t round);
   NEATBOUND_HOT void honest_mining_phase(std::uint64_t round);
   NEATBOUND_HOT void broadcast_honest(std::uint64_t round,
@@ -245,8 +199,8 @@ class ExecutionEngine {
   /// lower-indexed view) reproduces the old lowest-index-wins scan.
   NEATBOUND_HOT void note_adoption(std::uint32_t miner);
 
-  /// Common tail of both mining modes: stamps metadata on a freshly mined
-  /// honest block, stores it, updates views/metrics and broadcasts it.
+  /// Stamps metadata on a freshly mined honest block, stores it, updates
+  /// views/metrics and broadcasts it.
   NEATBOUND_HOT void register_honest_block(std::uint64_t round,
                                            std::uint32_t miner,
                                            protocol::Block&& block);
@@ -255,27 +209,22 @@ class ExecutionEngine {
   std::uint32_t honest_count_;
   std::uint32_t adversary_queries_;
   protocol::RandomOracle oracle_;
-  protocol::PowTarget target_;
   protocol::BlockStore store_;
   net::DeliveryCalendar calendar_;
   std::vector<MinerView> views_;
   std::unique_ptr<Adversary> adversary_;
   std::unique_ptr<Environment> environment_;
-  // neatbound-analyze: allow(rng-stream) — RngMode::kLegacy stream state,
-  // kept bit-stable for one release alongside the counter path below.
-  Rng rng_;
-  /// Counter-mode state: the run key plus cursors over the honest and
-  /// adversary Bernoulli success fields (unused in legacy mode).
+  /// The run key plus cursors over the honest and adversary Bernoulli
+  /// success fields.
   crng::Key key_;
   GapCursor honest_gaps_;
   GapCursor adversary_gaps_;
-  /// Precomputed eligibility for skip_if_quiet: counter mode, no
-  /// environment, and an adversary honouring the quiet-act contract.
+  /// Precomputed eligibility for skip_quiet_rounds: no environment, and
+  /// an adversary honouring the quiet-act contract.
   bool quiet_eligible_ = false;
   ConsistencyTracker consistency_;
   std::vector<std::uint32_t> honest_counts_;
   std::uint64_t adversary_blocks_total_ = 0;
-  std::uint64_t payload_counter_ = 0;
   /// Current tip of every honest view, maintained incrementally on each
   /// adoption (never rescanned).
   std::vector<protocol::BlockIndex> tips_scratch_;
@@ -283,8 +232,6 @@ class ExecutionEngine {
   protocol::BlockIndex best_tip_ = protocol::kGenesisIndex;
   std::uint64_t best_height_ = 0;
   std::uint32_t best_view_ = 0;
-  /// One pre-drawn nonce per honest miner per round (batched RNG path).
-  std::vector<std::uint64_t> nonce_scratch_;
   std::vector<bool> echoed_;  ///< per block: gossip echo already scheduled
   /// Reset at the top of every round; read only by observers/tracers —
   /// no simulation decision ever consults these.

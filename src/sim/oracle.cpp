@@ -73,6 +73,10 @@ InvariantOracle::InvariantOracle(OracleConfig config) : config_(config) {
   record_ring_.resize(config_.slice_rounds);
 }
 
+// neatbound-analyze: allow(hot-alloc) — observation is opt-in: a run with
+// an observer attached is the stepped reference scan, not the sweep's hot
+// path, and the oracle's ring and freeze buffers are bounded by
+// slice_rounds.
 ExecutionEngine::RoundObserver InvariantOracle::observer() {
   return [this](const ExecutionEngine& engine, std::uint64_t round) {
     observe(engine, round);

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "sim/adversary.hpp"
-#include "support/rng.hpp"
 
 namespace neatbound::sim {
 

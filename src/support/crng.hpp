@@ -3,8 +3,8 @@
 // Unlike support/rng.hpp's sequential streams, every draw here is a pure
 // function of (key, counter): there is no hidden state to thread through
 // the simulator, so any draw is addressable out of order, from any
-// thread, and identically whether runs execute one seed at a time or W
-// seeds in lockstep (sim/batch_engine.hpp).  The simulator keys draws as
+// thread, and identically whether a run steps a round or skips it as
+// quiet (sim/engine.hpp).  The simulator keys draws as
 //
 //   key     = (cell, seed)            cell = hash of the engine params
 //   counter = (a, b, purpose, slot)   a = round or flat draw index,
@@ -44,7 +44,7 @@ struct Counter {
 /// Disjoint draw namespaces.  Every consumer owns one value, so no two
 /// subsystems can ever collide on a counter no matter how (a, b) are
 /// assigned.  Values are part of the pinned-trajectory contract: renaming
-/// is free, renumbering changes every counter-mode result.
+/// is free, renumbering changes every engine result.
 enum class Purpose : std::uint64_t {
   kHonestGap = 1,       ///< gaps between honest mining successes
   kHonestBlock = 2,     ///< per-success honest block draws (nonce, ...)
@@ -68,8 +68,8 @@ using Block = std::array<std::uint64_t, 4>;
 [[nodiscard]] std::uint64_t draw(const Key& key, const Counter& counter) noexcept;
 
 /// Maps 64 random bits to a uniform double in [0, 1) with 53 bits of
-/// precision — the same mapping as support::Rng::uniform(), so counter
-/// and legacy modes share one real-valued draw convention.
+/// precision — the same mapping as support::Rng::uniform(), so both
+/// generators share one real-valued draw convention.
 [[nodiscard]] inline double to_unit(std::uint64_t bits) noexcept {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -80,6 +81,15 @@ std::uint64_t JsonValue::as_uint() const {
         "JSON: expected a non-negative integer, have " + std::to_string(n));
   }
   return static_cast<std::uint64_t>(n);
+}
+
+std::uint32_t JsonValue::as_uint32(std::string_view field) const {
+  const std::uint64_t n = as_uint();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::runtime_error(std::string(field) + ": " + std::to_string(n) +
+                             " is out of range (max 4294967295)");
+  }
+  return static_cast<std::uint32_t>(n);
 }
 
 const std::string& JsonValue::as_string() const {
@@ -177,8 +187,17 @@ class Parser {
     if (at_end()) fail("unexpected end of input");
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // One recursion level per container: cap it (see kMaxJsonDepth).
+        if (++depth_ > kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels (JSON depth limit)");
+        }
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (consume_literal("true")) return JsonValue::make_bool(true);
@@ -330,6 +349,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

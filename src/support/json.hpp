@@ -8,9 +8,13 @@
 // escapes cover the JSON set; \uXXXX is accepted for ASCII code points
 // only — scenario files are ASCII by construction.
 //
-// Errors throw std::runtime_error with a line:column position.
+// Errors throw std::runtime_error with a line:column position.  Arrays
+// and objects may nest at most kMaxJsonDepth deep: the parser recurses
+// once per level, so the cap turns hostile input ("[" repeated 200000
+// times) into a parse error instead of a stack overflow.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -18,6 +22,10 @@
 #include <vector>
 
 namespace neatbound::support {
+
+/// Deepest array/object nesting parse_json accepts (the document's outer
+/// container is depth 1).
+inline constexpr std::size_t kMaxJsonDepth = 256;
 
 class JsonValue {
  public:
@@ -57,6 +65,9 @@ class JsonValue {
   /// as_number, additionally required to be a non-negative integer that
   /// fits the return type exactly.
   [[nodiscard]] std::uint64_t as_uint() const;
+  /// as_uint, additionally required to fit std::uint32_t; an out-of-range
+  /// value fails naming `field` instead of wrapping (4294967297 → 1).
+  [[nodiscard]] std::uint32_t as_uint32(std::string_view field) const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
   [[nodiscard]] const Object& as_object() const;

@@ -8,6 +8,15 @@
 namespace neatbound::chains {
 namespace {
 
+/// Collects each round's honest block count (index i = round i+1).
+class HonestCounts final : public sim::RoundTraceSink {
+ public:
+  void on_round(const sim::RoundRecord& record) override {
+    counts.push_back(record.honest_mined);
+  }
+  std::vector<std::uint32_t> counts;
+};
+
 TEST(SuffixFrequencies, HandCraftedTrace) {
   // Δ = 2; counts 1,0,1,0,0,0,1 → series H,N,H,N,N,N,H.
   // Classified from t=2 (second H): states:
@@ -63,10 +72,10 @@ TEST_P(FrequencyPipeline, EmpiricalMatchesClosedForm) {
   config.delta = delta;
   config.rounds = 400000;
   config.seed = 321;
-  std::vector<std::uint32_t> trace;
+  HonestCounts trace;
   (void)sim::run_aggregate_traced(config, trace);
 
-  const auto report = suffix_frequencies(trace, delta);
+  const auto report = suffix_frequencies(trace.counts, delta);
   const SuffixStateSpace space(delta);
   const double alpha = 1.0 - std::pow(1.0 - p, trials);
   // Dependent-sample tolerance: generous 5/sqrt(T) plus a floor.

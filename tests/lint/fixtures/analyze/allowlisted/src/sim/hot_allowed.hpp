@@ -17,7 +17,7 @@ class AllowedLoop {
   }
 
   int draw(unsigned seed) {
-    // neatbound-analyze: allow(rng-stream) — fixture: silenced engine use
+    // neatbound-analyze: allow(rng-stream) — fixture: silenced std engine use
     std::mt19937 gen(seed);
     return static_cast<int>(gen());
   }

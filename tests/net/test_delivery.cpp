@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "support/contracts.hpp"
+#include "support/rng.hpp"
 
 namespace neatbound::net {
 namespace {
@@ -146,10 +147,10 @@ TEST(Schedules, MaxDelayAlwaysDelta) {
 }
 
 TEST(Schedules, UniformWithinBounds) {
-  UniformRandomDelay schedule(5, Rng(1));
+  CounterUniformDelay schedule(5, crng::Key{1, 1});
   bool saw_low = false, saw_high = false;
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint64_t d = schedule.delay(0, 0, 1, 0);
+  for (std::uint64_t round = 1; round <= 2000; ++round) {
+    const std::uint64_t d = schedule.delay(round, 0, 1, 0);
     ASSERT_GE(d, 1u);
     ASSERT_LE(d, 5u);
     saw_low |= (d == 1);
@@ -176,7 +177,7 @@ TEST(Schedules, SplitChecksIds) {
 TEST(Schedules, DeltaValidation) {
   EXPECT_THROW(ImmediateDelivery(0), ContractViolation);
   EXPECT_THROW(MaxDelayDelivery(0), ContractViolation);
-  EXPECT_THROW(UniformRandomDelay(0, Rng(1)), ContractViolation);
+  EXPECT_THROW(CounterUniformDelay(0, crng::Key{1, 1}), ContractViolation);
   EXPECT_THROW(SplitDelivery(0, {0, 1}), ContractViolation);
 }
 

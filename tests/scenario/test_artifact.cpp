@@ -218,6 +218,50 @@ TEST(Artifact, StrictReaderRejectsCorruptDocuments) {
   expect_rejected("not json", "non-JSON input");
 }
 
+// Replaces the first `from` in `text` with `to`; the test fails if absent.
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const auto pos = text.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  if (pos != std::string::npos) text.replace(pos, from.size(), to);
+  return text;
+}
+
+void expect_error_naming(const std::string& text, const std::string& field) {
+  try {
+    (void)parse_artifact(text);
+    ADD_FAILURE() << "parse accepted " << field;
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Artifact, StrictReaderRejectsOutOfRangeIdsAndNonCounterRng) {
+  const ViolationArtifact artifact = scan_one();
+  const std::string good = serialize(artifact);
+  // 2^32 + 1 would narrow to 1 through an unchecked cast.
+  expect_error_naming(
+      replaced(good,
+               "\"miners\":" + std::to_string(artifact.engine.miner_count),
+               "\"miners\":4294967297"),
+      "engine.miners");
+  expect_error_naming(
+      replaced(good,
+               "\"view_a\":" + std::to_string(artifact.violation.view_a),
+               "\"view_a\":4294967297"),
+      "violation.view_a");
+  expect_error_naming(
+      replaced(good,
+               "\"view_b\":" + std::to_string(artifact.violation.view_b),
+               "\"view_b\":4294967297"),
+      "violation.view_b");
+  expect_error_naming(replaced(good, "\"miner\":0", "\"miner\":4294967296"),
+                      "views[0].miner");
+  expect_error_naming(replaced(good, "\"rng\":\"counter\"", "\"rng\":\"legacy\""),
+                      "rng must be 'counter'");
+}
+
 TEST(Artifact, LoadFileRejectsMissingPath) {
   EXPECT_THROW((void)load_artifact_file("/nonexistent/neatbound/a.json"),
                std::runtime_error);

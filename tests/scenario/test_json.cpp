@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace neatbound::scenario {
 namespace {
@@ -55,6 +56,25 @@ TEST(Json, UintAccessorChecksIntegrality) {
   EXPECT_EQ(parse_json("7").as_uint(), 7u);
   EXPECT_THROW((void)parse_json("7.5").as_uint(), std::runtime_error);
   EXPECT_THROW((void)parse_json("-1").as_uint(), std::runtime_error);
+}
+
+TEST(Json, NestingDepthIsCapped) {
+  // Within the cap parses; one level past it is an error, not recursion.
+  const std::string ok = std::string(support::kMaxJsonDepth, '[') +
+                         std::string(support::kMaxJsonDepth, ']');
+  EXPECT_TRUE(parse_json(ok).is_array());
+  EXPECT_THROW((void)parse_json("[" + ok + "]"), std::runtime_error);
+  EXPECT_THROW((void)parse_json(std::string(support::kMaxJsonDepth + 1, '{')),
+               std::runtime_error);
+  // Hostile input: 200000 open brackets must fail naming the depth limit
+  // instead of overflowing the stack.
+  try {
+    (void)parse_json(std::string(200000, '['));
+    FAIL() << "expected a depth error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("depth"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Json, RejectsMalformedInput) {

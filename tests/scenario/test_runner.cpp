@@ -353,6 +353,41 @@ TEST(ScenarioRunner, InvalidEngineParametersFailFast) {
       ContractViolation);
 }
 
+TEST(ScenarioRunner, NonIntegerAxisValuesFailNamingTheAxis) {
+  // A double→integer cast of these values is undefined (or silently
+  // truncates), so build_config must reject them by axis name.
+  const struct {
+    const char* axis;
+    const char* value;
+  } cases[] = {{"miners", "12.5"},   {"miners", "4294967296"},
+               {"miners", "-4"},     {"delta", "1e300"},
+               {"rounds", "100.25"}, {"rounds", "1.8446744073709552e19"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.axis) + "=" + c.value);
+    const ScenarioSpec spec = parse_scenario(
+        std::string(R"({"name": "x", "engine": {"miners": 8, "nu": 0.2,
+            "delta": 2, "rounds": 100, "p": 0.01}, "seeds": 1,
+            "axes": [{"name": ")") +
+        c.axis + R"(", "values": [)" + c.value + "]}]}");
+    try {
+      (void)build_config(spec, build_grid(spec).point(0));
+      ADD_FAILURE() << "expected an axis error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("\"") + c.axis +
+                                           "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Integral, in-range axis values still resolve exactly.
+  const ScenarioSpec ok = parse_scenario(
+      R"({"name": "x", "engine": {"miners": 8, "nu": 0.2, "delta": 2,
+          "rounds": 100, "p": 0.01}, "seeds": 1,
+          "axes": [{"name": "miners", "values": [4294967295]}]})");
+  EXPECT_EQ(build_config(ok, build_grid(ok).point(0)).engine.miner_count,
+            4294967295u);
+}
+
 TEST(ScenarioRunner, UnknownComponentFailsBeforeRunning) {
   const ScenarioSpec spec = parse_scenario(
       R"({"name": "x", "engine": {"miners": 8, "nu": 0.2, "delta": 2,

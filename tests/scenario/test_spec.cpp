@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace neatbound::scenario {
 namespace {
@@ -124,6 +125,43 @@ TEST(Spec, RejectsStructuralMistakes) {
           R"({"name": "x", "axes": [{"name": "nu", "values": [0.1]}],
               "report": {"section_by": "nu"}})"),
       std::runtime_error);
+}
+
+// Expects parse_scenario(text) to throw a runtime_error naming `field`.
+void expect_error_naming(const std::string& text, const std::string& field) {
+  try {
+    (void)parse_scenario(text);
+    ADD_FAILURE() << "expected an error naming " << field;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Spec, OutOfRangeCountsFailNamingTheField) {
+  // 2^32 + 1 would narrow to 1; it must fail instead of running n = 1.
+  expect_error_naming(R"({"name": "x", "engine": {"miners": 4294967297}})",
+                      "engine.miners");
+  expect_error_naming(R"({"name": "x", "seeds": 4294967296})", "seeds");
+  expect_error_naming(
+      R"({"name": "x", "adaptive": {"min_seeds": 4294967296}})",
+      "adaptive.min_seeds");
+  expect_error_naming(R"({"name": "x", "adaptive": {"batch": 4294967296}})",
+                      "adaptive.batch");
+  expect_error_naming(
+      R"({"name": "x", "adaptive": {"max_seeds": 4294967296}})",
+      "adaptive.max_seeds");
+  EXPECT_EQ(
+      parse_scenario(R"({"name": "x", "engine": {"miners": 4294967295}})")
+          .miners,
+      4294967295u);
+}
+
+TEST(Spec, RemovedRngKeyFailsNamingIt) {
+  expect_error_naming(R"({"name": "x", "engine": {"rng": "counter"}})",
+                      "engine.rng");
+  expect_error_naming(R"({"name": "x", "engine": {"rng": "legacy"}})",
+                      "engine.rng");
 }
 
 TEST(Spec, ParsesAdaptiveBlock) {

