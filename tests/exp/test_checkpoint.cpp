@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -143,6 +144,41 @@ TEST(Checkpoint, FingerprintMismatchAndMalformedFilesThrow) {
                std::runtime_error);
   EXPECT_THROW((void)load_sweep_checkpoint(file.path() + ".does-not-exist"),
                std::runtime_error);
+}
+
+// seeds_done is a uint32 count: 2^32 + 1 must be rejected by name, not
+// silently narrowed to 1 (which would resume a cell as nearly fresh).
+TEST(Checkpoint, OutOfRangeSeedsDoneIsRejectedByName) {
+  TempFile file("seeds_done_range");
+  SweepCheckpoint out;
+  out.fingerprint = 42;
+  out.cells.emplace_back();
+  out.cells.back().seeds_done = 7;
+  save_sweep_checkpoint(file.path(), out);
+  std::string text;
+  {
+    std::ifstream in(file.path());
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::string key = "\"seeds_done\": 7";
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, key.size(), "\"seeds_done\": 4294967297");
+  std::ofstream(file.path(), std::ios::trunc) << text;
+  try {
+    (void)load_sweep_checkpoint(file.path(), 42);
+    FAIL() << "an out-of-range seeds_done loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("seeds_done"), std::string::npos)
+        << e.what();
+  }
+  // The largest representable count still loads exactly.
+  text.replace(at, std::string("\"seeds_done\": 4294967297").size(),
+               "\"seeds_done\": 4294967295");
+  std::ofstream(file.path(), std::ios::trunc) << text;
+  EXPECT_EQ(load_sweep_checkpoint(file.path(), 42).cells.at(0).seeds_done,
+            4294967295u);
 }
 
 // ---------------------------------------------------------------------
