@@ -13,35 +13,47 @@ constexpr std::uint64_t kInitialSpan = 16;  ///< ring buckets at construction
 }  // namespace
 
 DeliveryCalendar::DeliveryCalendar(std::uint32_t recipient_count)
-    : recipient_count_(recipient_count), buckets_(kInitialSpan) {
+    : recipient_count_(recipient_count),
+      words_per_set_((std::size_t{recipient_count} + 63) / 64),
+      buckets_(kInitialSpan),
+      members_(words_per_set_, 0) {
   NEATBOUND_EXPECTS(recipient_count > 0, "need at least one recipient");
 }
 
-void DeliveryCalendar::schedule(std::uint64_t due_round,
-                                std::uint32_t recipient,
-                                protocol::BlockIndex block) {
-  NEATBOUND_EXPECTS(recipient < recipient_count_, "recipient out of range");
-  // A message scheduled at or before an already-collected round is late,
-  // not lost: it lands in the next collectable bucket.
-  const std::uint64_t round = std::max(due_round, base_round_);
-  NEATBOUND_EXPECTS(round - base_round_ < kMaxSpan,
-                    "due round too far past the delivery horizon");
-  if (round - base_round_ >= buckets_.size()) {
-    grow(round - base_round_ + 1);
-  }
-  // Ring capacity: the bucket count must stay a power of two (bucket_at
-  // masks with size-1) and span the scheduled round — anything else and
-  // this append lands in a bucket belonging to a different round.
-  NEATBOUND_INVARIANT(std::has_single_bit(buckets_.size()),
-                      "calendar ring size must be a power of two");
-  NEATBOUND_INVARIANT(round - base_round_ < buckets_.size(),
-                      "scheduled round outside the grown ring span");
-  // neatbound-analyze: allow(hot-alloc) — O(1) amortized append into a
-  // ring bucket whose capacity is retained across rounds (cleared, never
+// neatbound-analyze: allow(contract-coverage) — private helper whose
+// callers check the bucket and recipient preconditions.
+std::uint64_t* DeliveryCalendar::open_record(Bucket& bucket,
+                                             protocol::BlockIndex block) {
+  // neatbound-analyze: allow(hot-alloc) — O(1) amortized appends into a
+  // bucket whose capacity is retained across rounds (cleared, never
   // shrunk), so steady-state scheduling allocates nothing.
-  bucket_at(round).push_back(Pending{recipient, block});
-  ++pending_;
-  NEATBOUND_COUNT(kCalendarScheduled);
+  bucket.records.push_back(Record{block, 0, 0});
+  bucket.words.resize(bucket.words.size() + words_per_set_, 0);  // neatbound-analyze: allow(hot-alloc)
+  return bucket.words.data() + bucket.words.size() - words_per_set_;
+}
+
+void DeliveryCalendar::schedule_all(std::uint64_t due_round,
+                                    protocol::BlockIndex block) {
+  Bucket& bucket = bucket_for(due_round);
+  // Recipient 0 can never extend an existing record, so the first of the
+  // equivalent schedule() calls would open one; the rest extend it.
+  std::uint64_t* words = open_record(bucket, block);
+  std::fill_n(words, words_per_set_, ~std::uint64_t{0});
+  if (recipient_count_ % 64 != 0) {
+    words[words_per_set_ - 1] =
+        (std::uint64_t{1} << (recipient_count_ % 64)) - 1;
+  }
+  Record& record = bucket.records.back();
+  record.highest = recipient_count_ - 1;
+  record.count = recipient_count_;
+  pending_ += recipient_count_;
+  NEATBOUND_COUNT_ADD(kCalendarScheduled, recipient_count_);
+  // The set must cover exactly recipients [0, count): a stray bit past
+  // the last recipient would be expanded into a nonexistent miner.
+  NEATBOUND_INVARIANT(
+      static_cast<std::size_t>(std::popcount(words[words_per_set_ - 1])) ==
+          recipient_count_ - 64 * (words_per_set_ - 1),
+      "schedule_all member set does not match the recipient count");
 }
 
 // neatbound-analyze: allow(contract-coverage) — thin cold wrapper: the
@@ -60,7 +72,7 @@ std::vector<Delivery> DeliveryCalendar::collect_due(std::uint64_t round) {
 void DeliveryCalendar::grow(std::uint64_t span) {
   NEATBOUND_COUNT(kCalendarGrows);
   const std::uint64_t old_size = buckets_.size();
-  std::vector<std::vector<Pending>> grown(std::bit_ceil(span));
+  std::vector<Bucket> grown(std::bit_ceil(span));
   // Every pending entry lives in [base_round_, base_round_ + old span);
   // move each round's bucket wholesale to its slot in the wider ring.
   for (std::uint64_t r = base_round_; r < base_round_ + old_size; ++r) {
@@ -72,8 +84,8 @@ void DeliveryCalendar::grow(std::uint64_t span) {
   NEATBOUND_INVARIANT(
       [&] {
         std::size_t total = 0;
-        for (const std::vector<Pending>& bucket : buckets_) {
-          total += bucket.size();
+        for (const Bucket& bucket : buckets_) {
+          for (const Record& record : bucket.records) total += record.count;
         }
         return total == pending_;
       }(),

@@ -9,8 +9,10 @@
 // enforces by construction.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "protocol/block.hpp"
@@ -18,6 +20,7 @@
 #include "support/crng.hpp"
 #include "support/hot.hpp"
 #include "support/invariant.hpp"
+#include "support/telemetry.hpp"
 
 namespace neatbound::net {
 
@@ -28,18 +31,46 @@ struct Delivery {
   protocol::BlockIndex block = 0;
 };
 
+/// One block in flight to a set of recipients, as drain_records hands it
+/// out: recipient r is in the set iff bit r % 64 of members[r / 64] is.
+struct DeliveryRecord {
+  std::uint64_t due_round = 0;
+  protocol::BlockIndex block = 0;
+  std::uint32_t count = 0;  ///< recipients in the set
+  std::span<const std::uint64_t> members;
+};
+
+/// Calls fn(recipient) for every member of a recipient bitset, ascending.
+template <typename Fn>
+void for_each_member(std::span<const std::uint64_t> members, Fn&& fn) {
+  for (std::size_t w = 0; w < members.size(); ++w) {
+    for (std::uint64_t bits = members[w]; bits != 0; bits &= bits - 1) {
+      fn(static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+    }
+  }
+}
+
 /// Round-indexed delivery calendar for all recipients: a flat ring buffer
 /// of per-round buckets.  Δ is small and bounded, so every in-flight
 /// message lives within a narrow window of future rounds — a
-/// bucket-per-round ring makes schedule() an O(1) vector append and the
+/// bucket-per-round ring makes schedule() an O(1) append and the
 /// per-round drain a contiguous sweep, where any ordered container would
 /// pay comparisons and pointer chasing on the T×n hot path.
 ///
+/// A bucket holds records, each one block plus a bitset of recipients.
+/// schedule() extends the bucket's last record when it carries the same
+/// block and the new recipient is above the record's highest member;
+/// otherwise it opens a new record.  A record is therefore a run of
+/// consecutive schedule() calls for one block with ascending recipients,
+/// and expanding the records in order, each in ascending member order,
+/// replays the schedule() sequence exactly.  A broadcast to n recipients
+/// costs at most one record per distinct delay.
+///
 /// Ordering contract: collect_due/drain_due emit strictly ascending due
-/// rounds, FIFO (schedule order) within a round.  Determinism therefore
-/// depends only on the schedule() call sequence.  (The previous
-/// binary-heap implementation left within-round order unspecified-but-
-/// deterministic; the calendar pins it to schedule order.)
+/// rounds, FIFO (schedule order) within a round.  drain_records emits the
+/// same deliveries grouped into records, so each recipient sees its
+/// blocks in the same order either way.  Determinism therefore depends
+/// only on the schedule() call sequence.
 ///
 /// The window grows on demand: scheduling past the current horizon
 /// re-buckets into a larger power-of-two ring, up to kMaxSpan rounds
@@ -58,20 +89,43 @@ class DeliveryCalendar {
 
   /// Schedules `block` to reach `recipient` at `due_round`, which must
   /// lie less than kMaxSpan rounds past the earliest uncollected round.
+  /// Inline: a broadcast calls this once per recipient.
   NEATBOUND_HOT void schedule(std::uint64_t due_round,
                               std::uint32_t recipient,
-                              protocol::BlockIndex block);
+                              protocol::BlockIndex block) {
+    NEATBOUND_EXPECTS(recipient < recipient_count_, "recipient out of range");
+    Bucket& bucket = bucket_for(due_round);
+    std::uint64_t* words = nullptr;
+    if (!bucket.records.empty() && bucket.records.back().block == block &&
+        bucket.records.back().highest < recipient) {
+      words = bucket.words.data() + bucket.words.size() - words_per_set_;
+    } else {
+      words = open_record(bucket, block);
+    }
+    Record& record = bucket.records.back();
+    words[recipient / 64] |= std::uint64_t{1} << (recipient % 64);
+    record.highest = recipient;
+    ++record.count;
+    ++pending_;
+    NEATBOUND_COUNT(kCalendarScheduled);
+  }
+
+  /// Schedules `block` to every recipient at `due_round`: the same as
+  /// schedule() for recipients 0, 1, ..., count−1 in turn, in O(count/64).
+  NEATBOUND_HOT void schedule_all(std::uint64_t due_round,
+                                  protocol::BlockIndex block);
 
   /// Pops everything due at or before `round` for all recipients; the
   /// result is grouped as (recipient, block) pairs in due order (see the
   /// ordering contract above).
   [[nodiscard]] std::vector<Delivery> collect_due(std::uint64_t round);
 
-  /// Zero-allocation drain: invokes `fn(delivery)` for everything due at
-  /// or before `round`, in exactly collect_due's order.  The engine's
-  /// per-round hot path; bucket storage is retained for reuse.
+  /// Invokes `fn(record)` for every record due at or before `round`, in
+  /// due order and FIFO within a round.  The record's member span stays
+  /// valid for the duration of the call, even if `fn` schedules more
+  /// deliveries; bucket storage is retained for reuse.
   template <typename Fn>
-  NEATBOUND_HOT void drain_due(std::uint64_t round, Fn&& fn) {
+  NEATBOUND_HOT void drain_records(std::uint64_t round, Fn&& fn) {
     // bucket_at masks with size-1: a non-power-of-two ring would map
     // rounds onto the wrong buckets and deliveries would silently swap
     // rounds.
@@ -85,13 +139,20 @@ class DeliveryCalendar {
       // Re-fetch the bucket every step: schedule() during the callback
       // may append to this very bucket (same-round delivery) or grow the
       // ring (reallocating buckets_); index-based access stays valid
-      // through both.
-      for (std::size_t i = 0; i < bucket_at(base_round_).size(); ++i) {
-        const Pending p = bucket_at(base_round_)[i];
-        --pending_;
-        fn(Delivery{base_round_, p.recipient, p.block});
+      // through both.  The member words are copied out for the same
+      // reason.
+      for (std::size_t i = 0; i < bucket_at(base_round_).records.size();
+           ++i) {
+        const Bucket& bucket = bucket_at(base_round_);
+        const Record record = bucket.records[i];
+        std::copy_n(bucket.words.begin() + i * words_per_set_,
+                    words_per_set_, members_.begin());
+        pending_ -= record.count;
+        fn(DeliveryRecord{base_round_, record.block, record.count,
+                          members_});
       }
-      bucket_at(base_round_).clear();
+      bucket_at(base_round_).records.clear();
+      bucket_at(base_round_).words.clear();
       ++base_round_;
       if (pending_ == 0) {
         base_round_ = round >= base_round_ ? round + 1 : base_round_;
@@ -100,6 +161,21 @@ class DeliveryCalendar {
     }
   }
 
+  /// Per-recipient drain: invokes `fn(delivery)` for everything due at or
+  /// before `round`, in exactly collect_due's order (drain_records with
+  /// each record expanded in ascending member order).
+  // neatbound-analyze: allow(contract-coverage) — thin wrapper: the ring
+  // invariants are checked in drain_records, which it delegates to.
+  template <typename Fn>
+  void drain_due(std::uint64_t round, Fn&& fn) {
+    drain_records(round, [&fn](const DeliveryRecord& record) {
+      for_each_member(record.members, [&](std::uint32_t recipient) {
+        fn(Delivery{record.due_round, recipient, record.block});
+      });
+    });
+  }
+
+  /// Deliveries pending, counted per recipient.
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
   /// True iff anything is due at or before `round`.  Advances past empty
@@ -115,7 +191,7 @@ class DeliveryCalendar {
       if (round >= base_round_) base_round_ = round + 1;
       return false;
     }
-    while (base_round_ <= round && bucket_at(base_round_).empty()) {
+    while (base_round_ <= round && bucket_at(base_round_).records.empty()) {
       ++base_round_;
     }
     return base_round_ <= round;
@@ -134,7 +210,7 @@ class DeliveryCalendar {
     const std::uint64_t start = from > base_round_ ? from : base_round_;
     const std::uint64_t end = base_round_ + buckets_.size();
     for (std::uint64_t r = start; r < end; ++r) {
-      if (!buckets_[r & (buckets_.size() - 1)].empty()) return r;
+      if (!buckets_[r & (buckets_.size() - 1)].records.empty()) return r;
     }
     return kNever;
   }
@@ -145,22 +221,55 @@ class DeliveryCalendar {
   }
 
  private:
-  struct Pending {
-    std::uint32_t recipient = 0;
+  struct Record {
     protocol::BlockIndex block = 0;
+    std::uint32_t highest = 0;  ///< highest member so far
+    std::uint32_t count = 0;    ///< members so far
+  };
+  /// One round's records; record i's member bitset is
+  /// words[i·words_per_set_, (i+1)·words_per_set_).
+  struct Bucket {
+    std::vector<Record> records;
+    std::vector<std::uint64_t> words;
   };
 
-  [[nodiscard]] std::vector<Pending>& bucket_at(std::uint64_t round) {
+  [[nodiscard]] Bucket& bucket_at(std::uint64_t round) {
     return buckets_[round & (buckets_.size() - 1)];
   }
+  /// The bucket `due_round` lands in, clamped and grown as schedule()
+  /// documents.
+  [[nodiscard]] NEATBOUND_HOT Bucket& bucket_for(std::uint64_t due_round) {
+    // A message scheduled at or before an already-collected round is
+    // late, not lost: it lands in the next collectable bucket.
+    const std::uint64_t round = std::max(due_round, base_round_);
+    NEATBOUND_EXPECTS(round - base_round_ < kMaxSpan,
+                      "due round too far past the delivery horizon");
+    if (round - base_round_ >= buckets_.size()) {
+      grow(round - base_round_ + 1);
+    }
+    // Ring capacity: the bucket count must stay a power of two
+    // (bucket_at masks with size-1) and span the scheduled round —
+    // anything else and the append lands in a bucket belonging to a
+    // different round.
+    NEATBOUND_INVARIANT(std::has_single_bit(buckets_.size()),
+                        "calendar ring size must be a power of two");
+    NEATBOUND_INVARIANT(round - base_round_ < buckets_.size(),
+                        "scheduled round outside the grown ring span");
+    return bucket_at(round);
+  }
+  /// Opens a new, empty record for `block` at the end of `bucket`.
+  std::uint64_t* open_record(Bucket& bucket, protocol::BlockIndex block);
   /// Re-buckets into a ring spanning at least `span` rounds.
   void grow(std::uint64_t span);
 
   std::uint32_t recipient_count_;
+  std::size_t words_per_set_;
   std::uint64_t base_round_ = 0;  ///< earliest round not yet collected
   std::size_t pending_ = 0;
   /// Power-of-two bucket count; bucket for round r is r mod size.
-  std::vector<std::vector<Pending>> buckets_;
+  std::vector<Bucket> buckets_;
+  /// Member words of the record being drained (see drain_records).
+  std::vector<std::uint64_t> members_;
 };
 
 /// Chooses per-(message, recipient) delays, within [1, Δ].

@@ -117,9 +117,7 @@ class ExecutionEngine::Ops final : public AdversaryOps {
   void publish_to_all(protocol::BlockIndex block,
                       std::uint64_t delay) override {
     const std::uint64_t d = engine_.clamp_delay(delay);
-    for (std::uint32_t r = 0; r < engine_.honest_count_; ++r) {
-      engine_.calendar_.schedule(round_ + d, r, block);
-    }
+    engine_.calendar_.schedule_all(round_ + d, block);
     engine_.schedule_echo(round_ + d, block);
   }
 
@@ -141,7 +139,7 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
       honest_count_(honest_miner_count(config)),
       adversary_queries_(corrupted_count(config)),
       oracle_(mix64(config.seed ^ 0x5bd1e995u)),
-      calendar_(config.miner_count),
+      calendar_(honest_miner_count(config)),
       adversary_(std::move(adversary)),
       environment_(std::move(environment)),
       key_(engine_rng_key(config)) {
@@ -157,7 +155,21 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
   quiet_eligible_ =
       environment_ == nullptr &&
       (adversary_queries_ == 0 || adversary_->quiet_act_is_noop());
-  views_.resize(honest_count_);
+  // One class holding every honest miner at genesis.
+  member_words_ = (std::size_t{honest_count_} + 63) / 64;
+  solo_members_.assign(member_words_, 0);
+  classes_.resize(1);
+  classes_[0].members.assign(member_words_, ~std::uint64_t{0});
+  if (honest_count_ % 64 != 0) {
+    classes_[0].members.back() = (std::uint64_t{1} << (honest_count_ % 64)) - 1;
+  }
+  classes_[0].size = honest_count_;
+  // There are never more classes than honest miners, so the merge pass's
+  // table stays at most half full and its scratch never grows.
+  merge_slot_class_.assign(std::bit_ceil(2 * std::size_t{honest_count_}), 0);
+  merge_slot_epoch_.assign(merge_slot_class_.size(), 0);
+  absorbed_.assign(honest_count_, false);
+  class_tips_.reserve(honest_count_);
   tips_scratch_.resize(honest_count_, protocol::kGenesisIndex);
   // At most honest_count_ honest blocks per round, so the per-round miner
   // list never reallocates after this.
@@ -168,27 +180,46 @@ ExecutionEngine::~ExecutionEngine() = default;
 
 protocol::BlockIndex ExecutionEngine::honest_tip(std::uint32_t miner) const {
   NEATBOUND_EXPECTS(miner < honest_count_, "miner id out of range");
-  return views_[miner].tip();
+  return tips_scratch_[miner];
 }
 
 protocol::BlockIndex ExecutionEngine::best_honest_tip() const {
   return best_tip_;
 }
 
-void ExecutionEngine::note_adoption(std::uint32_t miner) {
-  const protocol::BlockIndex tip = views_[miner].tip();
-  tips_scratch_[miner] = tip;
-  const std::uint64_t height = views_[miner].tip_height();
+void ExecutionEngine::note_adoption(std::size_t c, const AdoptionEvent& event,
+                                    ReorgWitness& witness) {
+  const ViewClass& cls = classes_[c];
+  const protocol::BlockIndex tip = cls.view.tip();
+  const std::uint64_t height = cls.view.tip_height();
+  round_activity_.adoptions += cls.size;
+  NEATBOUND_COUNT_ADD(kAdoptions, cls.size);
+  std::uint32_t lowest = honest_count_;
+  net::for_each_member(cls.members, [&](std::uint32_t m) {
+    lowest = std::min(lowest, m);
+    tips_scratch_[m] = tip;
+  });
+  // Members share the tip, so of all of them only the lowest can move the
+  // lowest-index best-tip maximum.
   if (height > best_height_ ||
-      (height == best_height_ && miner < best_view_)) {
+      (height == best_height_ && lowest < best_view_)) {
     best_height_ = height;
-    best_view_ = miner;
+    best_view_ = lowest;
     best_tip_ = tip;
+  }
+  if (event.reorg_depth > 0) {
+    NEATBOUND_COUNT_ADD(kReorgs, cls.size);
+    consistency_.observe_reorg(event.reorg_depth);
+    if (event.reorg_depth > witness.depth ||
+        (event.reorg_depth == witness.depth && lowest < witness.view)) {
+      witness = {event.reorg_depth, lowest};
+    }
   }
   // The incremental best-tip triple is what the adversary and the metrics
   // read instead of rescanning views: it must keep naming a real view's
   // tip at its real height, and must never fall behind the tip that was
   // just adopted.
+  NEATBOUND_INVARIANT(lowest < honest_count_, "adopting class has no member");
   NEATBOUND_INVARIANT(best_height_ == store_.height_of(best_tip_),
                       "best-tip height cache out of lockstep with the store");
   NEATBOUND_INVARIANT(best_view_ < honest_count_ &&
@@ -196,6 +227,112 @@ void ExecutionEngine::note_adoption(std::uint32_t miner) {
                       "best-tip cache names a tip no view holds");
   NEATBOUND_INVARIANT(best_height_ >= height,
                       "best-tip cache fell behind a fresh adoption");
+}
+
+void ExecutionEngine::note_witness(const ReorgWitness& witness) noexcept {
+  if (witness.depth > round_activity_.max_reorg_depth) {
+    round_activity_.max_reorg_depth = witness.depth;
+    round_activity_.max_reorg_view = witness.view;
+  }
+}
+
+std::size_t ExecutionEngine::split_class(
+    std::size_t c, std::span<const std::uint64_t> members,
+    std::uint32_t covered) {
+  if (live_classes_ == classes_.size()) {
+    // neatbound-analyze: allow(hot-alloc) — a new slot only when every
+    // retired one is in use: at most one per honest miner over a run.
+    classes_.emplace_back();
+    // neatbound-analyze: allow(hot-alloc) — sized once per slot (above)
+    classes_.back().members.resize(member_words_, 0);
+  }
+  ViewClass& whole = classes_[c];
+  ViewClass& part = classes_[live_classes_];
+  // Copy-assignment reuses the retired slot's grown storage.
+  part.view = whole.view;
+  for (std::size_t w = 0; w < member_words_; ++w) {
+    part.members[w] = whole.members[w] & members[w];
+    whole.members[w] &= ~members[w];
+  }
+  part.size = covered;
+  whole.size -= covered;
+  part.touched = true;
+  whole.touched = true;
+  NEATBOUND_INVARIANT(part.size > 0 && whole.size > 0,
+                      "split must leave two non-empty classes");
+  classes_changed_ = true;
+  return live_classes_++;
+}
+
+std::size_t ExecutionEngine::solo_class(std::uint32_t miner) {
+  const std::size_t word = miner / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (miner % 64);
+  std::size_t c = 0;
+  while (c < live_classes_ && (classes_[c].members[word] & bit) == 0) ++c;
+  NEATBOUND_INVARIANT(c < live_classes_, "miner belongs to no live class");
+  if (classes_[c].size == 1) return c;
+  solo_members_[word] = bit;
+  const std::size_t solo = split_class(c, solo_members_, 1);
+  solo_members_[word] = 0;
+  return solo;
+}
+
+void ExecutionEngine::merge_equal_classes() {
+  if (!classes_changed_) return;
+  classes_changed_ = false;
+  // One pass of an open-addressing table keyed by (tip, known-set hash):
+  // each class probes for an earlier class with its key, and the full
+  // comparison confirms a candidate.  Slots are stamped with the pass
+  // number, so the table is never cleared.  After every pass the live
+  // classes are pairwise distinct, so two untouched classes are never
+  // compared.
+  ++merge_epoch_;
+  const std::size_t mask = merge_slot_class_.size() - 1;
+  for (std::size_t c = 0; c < live_classes_; ++c) {
+    const MinerView& view = classes_[c].view;
+    const std::uint64_t key =
+        view.known_hash() ^ (std::uint64_t{view.tip()} << 32);
+    std::size_t slot = (key ^ (key >> 31)) & mask;
+    for (;; slot = (slot + 1) & mask) {
+      if (merge_slot_epoch_[slot] != merge_epoch_) {
+        merge_slot_epoch_[slot] = merge_epoch_;
+        merge_slot_class_[slot] = static_cast<std::uint32_t>(c);
+        break;
+      }
+      const std::size_t into = merge_slot_class_[slot];
+      if ((classes_[c].touched || classes_[into].touched) &&
+          classes_[into].view == view) {
+        for (std::size_t w = 0; w < member_words_; ++w) {
+          classes_[into].members[w] |= classes_[c].members[w];
+        }
+        classes_[into].size += classes_[c].size;
+        absorbed_[c] = true;
+        break;
+      }
+    }
+  }
+  // Stable compaction: survivors keep their relative order, absorbed
+  // classes move past live_classes_ as retired slots.
+  std::size_t out = 0;
+  for (std::size_t c = 0; c < live_classes_; ++c) {
+    classes_[c].touched = false;
+    if (absorbed_[c]) {
+      absorbed_[c] = false;
+      continue;
+    }
+    if (out != c) std::swap(classes_[out], classes_[c]);
+    ++out;
+  }
+  live_classes_ = out;
+  NEATBOUND_INVARIANT(
+      [&] {
+        std::uint64_t members = 0;
+        for (std::size_t c = 0; c < live_classes_; ++c) {
+          members += classes_[c].size;
+        }
+        return members == honest_count_;
+      }(),
+      "view classes no longer partition the honest miners");
 }
 
 std::uint64_t ExecutionEngine::clamp_delay(std::uint64_t d) const noexcept {
@@ -209,30 +346,49 @@ void ExecutionEngine::schedule_echo(std::uint64_t first_receipt_round,
   if (echoed_.size() <= block) echoed_.resize(block + 1, false);
   if (echoed_[block]) return;
   echoed_[block] = true;
-  for (std::uint32_t r = 0; r < honest_count_; ++r) {
-    calendar_.schedule(first_receipt_round + config_.delta, r, block);
-  }
+  calendar_.schedule_all(first_receipt_round + config_.delta, block);
 }
 
 void ExecutionEngine::deliver_due(std::uint64_t round) {
-  calendar_.drain_due(round, [this](const net::Delivery& d) {
-    ++round_activity_.delivered;
-    NEATBOUND_COUNT(kDeliveries);
-    const AdoptionEvent event = views_[d.recipient].deliver(d.block, store_);
-    if (event.adopted) {
-      ++round_activity_.adoptions;
-      NEATBOUND_COUNT(kAdoptions);
-      if (event.reorg_depth > 0) NEATBOUND_COUNT(kReorgs);
-      note_adoption(d.recipient);
-      if (event.reorg_depth > 0) {
-        consistency_.observe_reorg(event.reorg_depth);
-        if (event.reorg_depth > round_activity_.max_reorg_depth) {
-          round_activity_.max_reorg_depth = event.reorg_depth;
-          round_activity_.max_reorg_view = d.recipient;
-        }
+  calendar_.drain_records(
+      round, [this](const net::DeliveryRecord& r) { deliver_record(r); });
+}
+
+void ExecutionEngine::deliver_record(const net::DeliveryRecord& record) {
+  round_activity_.delivered += record.count;
+  NEATBOUND_COUNT_ADD(kDeliveries, record.count);
+  ReorgWitness witness;
+  // Splits append classes past `live`; those hold members this record
+  // has already reached, so the sweep stops at the classes it started
+  // with.
+  const std::size_t live = live_classes_;
+  for (std::size_t c = 0; c < live; ++c) {
+    std::uint32_t covered = classes_[c].size;
+    if (record.count != honest_count_) {
+      covered = 0;
+      for (std::size_t w = 0; w < member_words_; ++w) {
+        covered += static_cast<std::uint32_t>(
+            std::popcount(classes_[c].members[w] & record.members[w]));
       }
+      if (covered == 0) continue;
     }
-  });
+    // A block the view already knows, or already holds as an orphan,
+    // changes nothing, so the class need not split.
+    if (classes_[c].view.has_seen(record.block)) {
+      NEATBOUND_COUNT_ADD(kDuplicateDeliveries, covered);
+      continue;
+    }
+    const std::size_t target =
+        covered == classes_[c].size
+            ? c
+            : split_class(c, record.members, covered);
+    const AdoptionEvent event = classes_[target].view.deliver(record.block,
+                                                             store_);
+    classes_[target].touched = true;
+    classes_changed_ = true;
+    if (event.adopted) note_adoption(target, event, witness);
+  }
+  note_witness(witness);
 }
 
 void ExecutionEngine::broadcast_honest(std::uint64_t round,
@@ -269,20 +425,16 @@ void ExecutionEngine::register_honest_block(std::uint64_t round,
   // honest_count_ in the constructor; this append never reallocates.
   round_miners_.push_back(miner);
   NEATBOUND_COUNT(kHonestBlocksMined);
-  // The miner adopts its own block immediately (it extends its tip).
-  const AdoptionEvent event = views_[miner].deliver(index, store_);
+  // The miner adopts its own block immediately (it extends its tip); its
+  // view leaves any class it shared.
+  const std::size_t c = solo_class(miner);
+  const AdoptionEvent event = classes_[c].view.deliver(index, store_);
+  classes_[c].touched = true;
+  classes_changed_ = true;
   if (event.adopted) {
-    ++round_activity_.adoptions;
-    NEATBOUND_COUNT(kAdoptions);
-    if (event.reorg_depth > 0) NEATBOUND_COUNT(kReorgs);
-    note_adoption(miner);
-    if (event.reorg_depth > 0) {
-      consistency_.observe_reorg(event.reorg_depth);
-      if (event.reorg_depth > round_activity_.max_reorg_depth) {
-        round_activity_.max_reorg_depth = event.reorg_depth;
-        round_activity_.max_reorg_view = miner;
-      }
-    }
+    ReorgWitness witness;
+    note_adoption(c, event, witness);
+    note_witness(witness);
   }
   adversary_->on_honest_block(round, index);
   broadcast_honest(round, miner, index);
@@ -339,7 +491,16 @@ void ExecutionEngine::step_round(std::uint64_t round,
   }
   {
     NEATBOUND_PHASE_SCOPE(kMetrics);
-    consistency_.observe_round(tips_scratch_, store_);
+    merge_equal_classes();
+    // Members of a class share its tip, so the class tips are exactly the
+    // distinct honest tips the tracker needs.
+    class_tips_.clear();
+    for (std::size_t c = 0; c < live_classes_; ++c) {
+      // neatbound-analyze: allow(hot-alloc) — reserved to honest_count_
+      // in the constructor, which bounds the class count.
+      class_tips_.push_back(classes_[c].view.tip());
+    }
+    consistency_.observe_round(class_tips_, store_);
   }
   if (observer) observer(*this, round);
 }

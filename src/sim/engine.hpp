@@ -16,11 +16,24 @@
 // r₀ + Δ.  This models honest re-broadcast, whose messages the adversary
 // can again delay by at most Δ — without it, "delay ≤ Δ" would be
 // meaningless for adversary-mined blocks sent to a single victim.
+//
+// View classes: honest players that have received the same blocks hold
+// identical views, so the engine keeps one MinerView per *class* of
+// identical views plus a member bitset, not one per player.  A delivery
+// record (net/delivery.hpp: one block, a set of recipients) is applied
+// once per class it touches; a class it covers only partly is split
+// first, the covered part taking a copy of the view.  At the end of every
+// round that delivered or mined, classes whose views compare equal merge
+// again.  Every per-player quantity — delivered and adoption counts, the
+// tip snapshot, the lowest-index best-tip rule, the reorg witness — is
+// charged per member covered, so trajectories are bit-identical to one
+// view per player (tests/sim/test_engine_pinned.cpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/delivery.hpp"
@@ -183,6 +196,10 @@ class ExecutionEngine {
   [[nodiscard]] RunResult finish_run();
 
   NEATBOUND_HOT void deliver_due(std::uint64_t round);
+  /// Applies one delivery record: once to every class that has not seen
+  /// the block and holds a recipient, splitting off the covered part of a
+  /// class the record covers only partly.
+  NEATBOUND_HOT void deliver_record(const net::DeliveryRecord& record);
   NEATBOUND_HOT void honest_mining_phase(std::uint64_t round);
   NEATBOUND_HOT void broadcast_honest(std::uint64_t round,
                                       std::uint32_t sender,
@@ -192,12 +209,35 @@ class ExecutionEngine {
                                    protocol::BlockIndex block);
   [[nodiscard]] NEATBOUND_HOT std::uint64_t clamp_delay(
       std::uint64_t d) const noexcept;
-  /// Records that view `miner` adopted a new tip: refreshes the dense tip
-  /// snapshot and the running best-tip maximum, so honest_tips() and
-  /// best_honest_tip() are O(1) reads instead of per-query view scans.
-  /// The tie rule (strictly greater height, or equal height from a
-  /// lower-indexed view) reproduces the old lowest-index-wins scan.
-  NEATBOUND_HOT void note_adoption(std::uint32_t miner);
+
+  /// The deepest reorg of one delivery record (or one self-delivery) and
+  /// the lowest member that performed it.
+  struct ReorgWitness {
+    std::uint64_t depth = 0;
+    std::uint32_t view = 0;
+  };
+  /// Records that class `c` adopted a new tip, charging every member:
+  /// adoption counts, the per-member tip snapshot, the running best-tip
+  /// maximum and the record's reorg witness.  The best-tip tie rule
+  /// (strictly greater height, or equal height from a lower-indexed view)
+  /// needs only the class's lowest member, since members share a tip.
+  NEATBOUND_HOT void note_adoption(std::size_t c, const AdoptionEvent& event,
+                                   ReorgWitness& witness);
+  /// Folds a record's reorg witness into the round's max_reorg_*: the
+  /// first strictly deeper reorg in delivery order wins, exactly as if
+  /// members were visited one by one in ascending order.
+  NEATBOUND_HOT void note_witness(const ReorgWitness& witness) noexcept;
+  /// Moves the members of class `c` that are in `members` (some, not all)
+  /// into a new class holding a copy of c's view; returns its index.
+  NEATBOUND_HOT std::size_t split_class(
+      std::size_t c, std::span<const std::uint64_t> members,
+      std::uint32_t covered);
+  /// Index of a class holding `miner` alone, split off if it shares one.
+  NEATBOUND_HOT std::size_t solo_class(std::uint32_t miner);
+  /// Merges classes whose views compare equal.  O(1) unless a view
+  /// changed this round; candidates are found by (tip, known-set hash)
+  /// and confirmed by full comparison, in O(classes) hash probes.
+  NEATBOUND_HOT void merge_equal_classes();
 
   /// Stamps metadata on a freshly mined honest block, stores it, updates
   /// views/metrics and broadcasts it.
@@ -211,7 +251,29 @@ class ExecutionEngine {
   protocol::RandomOracle oracle_;
   protocol::BlockStore store_;
   net::DeliveryCalendar calendar_;
-  std::vector<MinerView> views_;
+  /// One MinerView standing for a set of honest miners with identical
+  /// views; `members` is a bitset over honest ids, `size` its popcount.
+  struct ViewClass {
+    MinerView view;
+    std::vector<std::uint64_t> members;
+    std::uint32_t size = 0;
+    bool touched = false;  ///< split or delivered to since the last merge
+  };
+  /// Live classes are [0, live_classes_) and partition the honest ids;
+  /// slots past it are retired classes kept for their capacity, so a
+  /// split copies into already-grown storage.
+  std::vector<ViewClass> classes_;
+  std::size_t live_classes_ = 1;
+  std::size_t member_words_;  ///< words per member bitset
+  /// A class view changed or split since the last merge pass.
+  bool classes_changed_ = false;
+  // Reused scratch for solo_class, merge_equal_classes and the tracker.
+  std::vector<std::uint64_t> solo_members_;
+  std::vector<std::uint32_t> merge_slot_class_;
+  std::vector<std::uint64_t> merge_slot_epoch_;
+  std::uint64_t merge_epoch_ = 0;
+  std::vector<bool> absorbed_;
+  std::vector<protocol::BlockIndex> class_tips_;
   std::unique_ptr<Adversary> adversary_;
   std::unique_ptr<Environment> environment_;
   /// The run key plus cursors over the honest and adversary Bernoulli
@@ -225,10 +287,11 @@ class ExecutionEngine {
   ConsistencyTracker consistency_;
   std::vector<std::uint32_t> honest_counts_;
   std::uint64_t adversary_blocks_total_ = 0;
-  /// Current tip of every honest view, maintained incrementally on each
+  /// Current tip of every honest miner, written per member on each class
   /// adoption (never rescanned).
   std::vector<protocol::BlockIndex> tips_scratch_;
-  // Running maximum over tips_scratch_ (see note_adoption).
+  // Running maximum over tips_scratch_ (see note_adoption); best_view_ is
+  // a member id.
   protocol::BlockIndex best_tip_ = protocol::kGenesisIndex;
   std::uint64_t best_height_ = 0;
   std::uint32_t best_view_ = 0;

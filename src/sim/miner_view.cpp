@@ -7,8 +7,28 @@
 
 namespace neatbound::sim {
 
-MinerView::MinerView() : tip_(protocol::kGenesisIndex) {
-  known_.resize(1, true);  // genesis
+namespace {
+/// A block's contribution to the known-set hash (the splitmix64 output
+/// function, so nearby indices spread over all 64 bits).
+constexpr std::uint64_t block_key(protocol::BlockIndex block) noexcept {
+  std::uint64_t x = block + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+}  // namespace
+
+MinerView::MinerView()
+    : tip_(protocol::kGenesisIndex),
+      known_hash_(block_key(protocol::kGenesisIndex)) {
+  set_bit(known_, protocol::kGenesisIndex);
+}
+
+void MinerView::set_bit(Bits& bits, protocol::BlockIndex block) {
+  // neatbound-analyze: allow(hot-alloc) — lazy growth to the largest
+  // index set, amortized over block indices.
+  if (bits.size() <= block / 64) bits.resize(block / 64 + 1, 0);
+  bits[block / 64] |= std::uint64_t{1} << (block % 64);
 }
 
 void MinerView::deliver_fresh(protocol::BlockIndex block,
@@ -24,30 +44,69 @@ void MinerView::deliver_fresh(protocol::BlockIndex block,
 
 void MinerView::buffer_orphan(protocol::BlockIndex parent,
                               protocol::BlockIndex block) {
-  const std::size_t needed = std::max(parent, block) + std::size_t{1};
-  if (waiting_first_.size() < needed) {
-    // Lazy orphan-table growth: only out-of-order (adversarial) delivery
-    // reaches this, and the resizes amortize over block indices.
-    waiting_first_.resize(needed, kNoWaiting);  // neatbound-analyze: allow(hot-alloc)
-    waiting_next_.resize(needed, kNoWaiting);   // neatbound-analyze: allow(hot-alloc)
-    buffered_.resize(needed, false);            // neatbound-analyze: allow(hot-alloc)
-  }
   // A still-buffered orphan can be delivered again (adversarial re-send or
-  // gossip echo while the parent is withheld); it is already threaded into
-  // its parent's list, and re-threading would sever the tail behind it.
-  if (buffered_[block]) return;
-  // Bitset ↔ intrusive-list lockstep (the PR 4 corruption class): a block
-  // the bitset calls un-buffered must not already carry a list link —
-  // overwriting waiting_next_ here is exactly how the sibling behind it
-  // got silently dropped.
-  NEATBOUND_INVARIANT(waiting_next_[block] == kNoWaiting,
-                      "un-buffered block already threaded into a waiting "
-                      "list — buffered_ out of lockstep");
-  buffered_[block] = true;
+  // gossip echo while the parent is withheld); it already waits once.
+  if (test_bit(buffered_, block)) return;
+  set_bit(buffered_, block);
   NEATBOUND_COUNT(kOrphansBuffered);
-  // Push-front; activation re-reverses, so children wake in arrival order.
-  waiting_next_[block] = waiting_first_[parent];
-  waiting_first_[parent] = block;
+  // Appending keeps the (parent, arrival) order unless the new parent
+  // sorts below the last entry's; then the next lookup sorts.
+  if (!orphans_.empty() && parent < orphans_.back().parent) {
+    orphans_sorted_ = false;
+  }
+  // neatbound-analyze: allow(hot-alloc) — capacity is retained across
+  // activations (holes are compacted in place), so appends amortize.
+  orphans_.push_back(Orphan{parent, block, arrivals_++});
+}
+
+void MinerView::sort_orphans() const noexcept {
+  if (orphans_sorted_) return;
+  std::sort(orphans_.begin(), orphans_.end(),
+            [](const Orphan& a, const Orphan& b) {
+              return a.parent != b.parent ? a.parent < b.parent
+                                          : a.arrival < b.arrival;
+            });
+  orphans_sorted_ = true;
+}
+
+void MinerView::wake_children(protocol::BlockIndex parent) {
+  if (holes_ == orphans_.size()) return;  // nothing is waiting
+  sort_orphans();
+  const auto first = std::lower_bound(
+      orphans_.begin(), orphans_.end(), parent,
+      [](const Orphan& o, protocol::BlockIndex p) { return o.parent < p; });
+  auto last = first;
+  while (last != orphans_.end() && last->parent == parent) ++last;
+  // Push the latest arrival first, so the earliest pops first from the
+  // LIFO worklist: children wake in arrival order.
+  for (auto it = last; it != first;) {
+    --it;
+    if (it->child == kHole) continue;
+    // Every live entry must be marked buffered and still unknown; anything
+    // else means some path entered the buffer without buffer_orphan's
+    // duplicate guard.
+    NEATBOUND_INVARIANT(test_bit(buffered_, it->child),
+                        "orphan-buffer entry not marked buffered_");
+    NEATBOUND_INVARIANT(!knows(it->child),
+                        "known block still waiting as an orphan");
+    clear_bit(buffered_, it->child);
+    NEATBOUND_COUNT(kOrphansActivated);
+    // neatbound-analyze: allow(hot-alloc) — reused worklist (see
+    // activate_ready)
+    activation_stack_.push_back(it->child);
+    it->child = kHole;
+    ++holes_;
+  }
+  // Compact once holes are the majority: each entry is moved O(1) times
+  // on average, so a whole cascade stays linear.
+  if (2 * holes_ > orphans_.size()) {
+    orphans_.erase(std::remove_if(orphans_.begin(), orphans_.end(),
+                                  [](const Orphan& o) {
+                                    return o.child == kHole;
+                                  }),
+                   orphans_.end());
+    holes_ = 0;
+  }
 }
 
 void MinerView::activate_ready(protocol::BlockIndex block,
@@ -61,33 +120,11 @@ void MinerView::activate_ready(protocol::BlockIndex block,
   while (!activation_stack_.empty()) {
     const protocol::BlockIndex current = activation_stack_.back();
     activation_stack_.pop_back();
-    // neatbound-analyze: allow(hot-alloc) — lazy bitset growth, amortized
-    if (known_.size() <= current) known_.resize(current + 1, false);
-    if (known_[current]) continue;
-    known_[current] = true;
+    if (knows(current)) continue;
+    set_bit(known_, current);
+    known_hash_ ^= block_key(current);
     consider_tip(current, store, event);
-    if (current < waiting_first_.size()) {
-      // The list is most-recent-first; pushing it onto the LIFO worklist
-      // reverses it, so children pop in arrival order.
-      protocol::BlockIndex child = waiting_first_[current];
-      waiting_first_[current] = kNoWaiting;
-      while (child != kNoWaiting) {
-        // Everything threaded into a waiting list must be marked buffered;
-        // an unmarked entry means some other path threaded it without
-        // going through buffer_orphan's duplicate guard.
-        NEATBOUND_INVARIANT(buffered_[child],
-                            "waiting-list entry not marked buffered_");
-        NEATBOUND_INVARIANT(!knows(child),
-                            "known block still threaded as a waiting orphan");
-        const protocol::BlockIndex next = waiting_next_[child];
-        waiting_next_[child] = kNoWaiting;
-        buffered_[child] = false;
-        NEATBOUND_COUNT(kOrphansActivated);
-        // neatbound-analyze: allow(hot-alloc) — reused worklist (above)
-        activation_stack_.push_back(child);
-        child = next;
-      }
-    }
+    wake_children(current);
   }
 }
 
@@ -108,6 +145,31 @@ void MinerView::consider_tip(protocol::BlockIndex candidate,
   // from the store's truth silently changes which chains win.
   NEATBOUND_INVARIANT(tip_height_ == store.height_of(tip_),
                       "cached tip height out of lockstep with the store");
+}
+
+bool operator==(const MinerView& a, const MinerView& b) {
+  // Cheap fields first; the known bitsets have equal sizes whenever the
+  // sets are equal (each grows exactly to cover its largest known index).
+  if (a.tip_ != b.tip_ || a.known_hash_ != b.known_hash_ ||
+      a.orphan_count() != b.orphan_count() || a.known_ != b.known_) {
+    return false;
+  }
+  a.sort_orphans();
+  b.sort_orphans();
+  // Compare the live entries in (parent, arrival) order; arrival stamps
+  // themselves are view-local and do not take part.
+  auto i = a.orphans_.begin();
+  auto j = b.orphans_.begin();
+  while (true) {
+    while (i != a.orphans_.end() && i->child == MinerView::kHole) ++i;
+    while (j != b.orphans_.end() && j->child == MinerView::kHole) ++j;
+    if (i == a.orphans_.end() || j == b.orphans_.end()) {
+      return i == a.orphans_.end() && j == b.orphans_.end();
+    }
+    if (i->parent != j->parent || i->child != j->child) return false;
+    ++i;
+    ++j;
+  }
 }
 
 }  // namespace neatbound::sim

@@ -8,11 +8,14 @@
 // is complete (an honest player cannot validate, let alone mine on, a
 // block whose chain it cannot see).
 //
-// Storage is flat and index-keyed throughout: the known-set is a bitset
-// over block indices, and the orphan buffer is an intrusive linked list
-// threaded through two lazily-grown flat vectors (first waiting child per
-// parent, next sibling per child) — no per-view hash map, no per-delivery
-// node allocation.  Waiting children activate in arrival order.
+// Storage is compact, so a view costs O(blocks/8 + orphans) bytes to copy
+// (the engine copies a view whenever a delivery splits a class of
+// identical views, sim/engine.hpp).  The known-set is a bitset over block
+// indices with an incremental hash; the orphan buffer is one flat array
+// of (parent, child, arrival) entries, sorted by (parent, arrival) on
+// demand, so the children of a parent are one binary search away and wake
+// in arrival order.  Nothing is allocated per delivery once the arrays
+// have grown.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +47,24 @@ class MinerView {
   }
 
   [[nodiscard]] bool knows(protocol::BlockIndex block) const noexcept {
-    return block < known_.size() && known_[block];
+    return test_bit(known_, block);
+  }
+
+  /// True iff delivering `block` again would change nothing: the block is
+  /// known, or it is an orphan already waiting in the buffer.
+  [[nodiscard]] bool has_seen(protocol::BlockIndex block) const noexcept {
+    return knows(block) || test_bit(buffered_, block);
+  }
+
+  /// Hash of the known set: XOR of a fixed per-block mix, maintained on
+  /// every activation, so equal known sets always hash equal.
+  [[nodiscard]] std::uint64_t known_hash() const noexcept {
+    return known_hash_;
+  }
+
+  /// Orphans currently waiting for their parent.
+  [[nodiscard]] std::size_t orphan_count() const noexcept {
+    return orphans_.size() - holes_;
   }
 
   /// Delivers `block`; activates it (and any waiting descendants) if its
@@ -64,16 +84,41 @@ class MinerView {
     return event;
   }
 
+  /// Same view state: same tip, same known set and the same orphan list
+  /// per parent, each in arrival order.  Equal views produce identical
+  /// events for every future delivery sequence, however each reached its
+  /// state.
+  friend bool operator==(const MinerView& a, const MinerView& b);
+
  private:
-  /// Intrusive-list sentinel: "no waiting child / no next sibling".
-  static constexpr protocol::BlockIndex kNoWaiting =
-      ~protocol::BlockIndex{0};
+  /// A buffered orphan: `child` waits for `parent`; `arrival` orders the
+  /// children of one parent.  An activated entry keeps its sort key and
+  /// becomes a hole (child = kHole) until the next compaction.
+  struct Orphan {
+    protocol::BlockIndex parent = 0;
+    protocol::BlockIndex child = 0;
+    std::uint32_t arrival = 0;
+  };
+  static constexpr protocol::BlockIndex kHole = ~protocol::BlockIndex{0};
+
+  /// Block-indexed bitsets are plain 64-bit words, so copies and
+  /// comparisons run a word at a time.
+  using Bits = std::vector<std::uint64_t>;
+  [[nodiscard]] static bool test_bit(const Bits& bits,
+                                     protocol::BlockIndex block) noexcept {
+    return block / 64 < bits.size() && ((bits[block / 64] >> (block % 64)) & 1);
+  }
+  /// Sets bit `block`, growing `bits` to cover it.
+  NEATBOUND_HOT static void set_bit(Bits& bits, protocol::BlockIndex block);
+  static void clear_bit(Bits& bits, protocol::BlockIndex block) noexcept {
+    bits[block / 64] &= ~(std::uint64_t{1} << (block % 64));
+  }
 
   /// Out-of-line continuation of deliver() for not-yet-known blocks.
   NEATBOUND_HOT void deliver_fresh(protocol::BlockIndex block,
                                    const protocol::BlockStore& store,
                                    AdoptionEvent& event);
-  /// Threads `block` into its parent's waiting list (parent unknown yet).
+  /// Appends `block` to the orphan buffer (its parent is unknown).
   NEATBOUND_HOT void buffer_orphan(protocol::BlockIndex parent,
                                    protocol::BlockIndex block);
   /// Marks `block` known, then repeatedly activates buffered orphans
@@ -81,25 +126,34 @@ class MinerView {
   NEATBOUND_HOT void activate_ready(protocol::BlockIndex block,
                                     const protocol::BlockStore& store,
                                     AdoptionEvent& event);
+  /// Moves the orphans waiting for `parent` onto the activation stack so
+  /// they pop in arrival order, leaving holes behind.
+  NEATBOUND_HOT void wake_children(protocol::BlockIndex parent);
   NEATBOUND_HOT void consider_tip(protocol::BlockIndex candidate,
                                   const protocol::BlockStore& store,
                                   AdoptionEvent& event);
+  /// Sorts the orphan buffer by (parent, arrival) if an out-of-order
+  /// append left it unsorted.  Logically const: the set of entries and
+  /// each parent's arrival order do not change.
+  NEATBOUND_HOT void sort_orphans() const noexcept;
 
   protocol::BlockIndex tip_;
   std::uint64_t tip_height_ = 0;  ///< height of tip_, kept in lockstep
-  std::vector<bool> known_;  ///< indexed by BlockIndex, grown lazily
-  /// Blocks currently threaded into a waiting list.  Guards against
-  /// duplicate delivery of a still-buffered orphan (its duplicate passes
-  /// the knows() check): re-threading would overwrite waiting_next_ and
-  /// sever the rest of the parent's list.  Grown only with the waiting
-  /// vectors, so honest-order delivery never touches it.
-  std::vector<bool> buffered_;
-  /// First waiting child per parent index; kNoWaiting when none.  Grown
-  /// only when an orphan actually arrives (honest-order delivery never
-  /// touches it).
-  std::vector<protocol::BlockIndex> waiting_first_;
-  /// Next waiting sibling per child index; parallel to waiting_first_.
-  std::vector<protocol::BlockIndex> waiting_next_;
+  /// Known blocks, grown lazily to the largest known index, so equal
+  /// known sets have equal sizes.
+  Bits known_;
+  std::uint64_t known_hash_;
+  /// Blocks currently waiting in orphans_.  Guards against duplicate
+  /// delivery of a still-buffered orphan (its duplicate passes the
+  /// knows() check), which must not enter the buffer twice.  Grown only
+  /// when an orphan arrives, so honest-order delivery never touches it.
+  Bits buffered_;
+  /// The orphan buffer (see the file comment); mutable only so a const
+  /// comparison can sort it.
+  mutable std::vector<Orphan> orphans_;
+  mutable bool orphans_sorted_ = true;
+  std::size_t holes_ = 0;        ///< activated entries not yet compacted
+  std::uint32_t arrivals_ = 0;   ///< next Orphan::arrival stamp
   /// Reused activation worklist — no allocation on the delivery hot path.
   std::vector<protocol::BlockIndex> activation_stack_;
 };

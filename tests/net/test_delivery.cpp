@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
 
@@ -112,6 +115,104 @@ TEST(DeliveryCalendar, DrainDueMatchesCollectDue) {
   }
   EXPECT_EQ(collected.pending(), 0u);
   EXPECT_EQ(drained.pending(), 0u);
+}
+
+struct DrainedRecord {
+  std::uint64_t due_round;
+  protocol::BlockIndex block;
+  std::uint32_t count;
+  std::vector<std::uint32_t> members;
+};
+
+std::vector<DrainedRecord> drain_all_records(DeliveryCalendar& calendar,
+                                             std::uint64_t round) {
+  std::vector<DrainedRecord> out;
+  calendar.drain_records(round, [&out](const DeliveryRecord& r) {
+    DrainedRecord d{r.due_round, r.block, r.count, {}};
+    for_each_member(r.members,
+                    [&d](std::uint32_t m) { d.members.push_back(m); });
+    out.push_back(d);
+  });
+  return out;
+}
+
+// A record is a run of consecutive schedule() calls for one block with
+// ascending recipients; a repeated or lower recipient, or another block,
+// opens a new record.  Expanding the records replays the calls exactly.
+TEST(DeliveryCalendar, RecordsGroupAscendingRunsOfOneBlock) {
+  const std::vector<std::pair<std::uint32_t, protocol::BlockIndex>> calls = {
+      {0, 5}, {2, 5}, {1, 5}, {1, 6}, {3, 6}, {0, 5}};
+  DeliveryCalendar grouped(4);
+  DeliveryCalendar expanded(4);
+  for (const auto& [to, block] : calls) {
+    grouped.schedule(3, to, block);
+    expanded.schedule(3, to, block);
+  }
+  const std::vector<DrainedRecord> records = drain_all_records(grouped, 3);
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0].block, 5u);
+  EXPECT_EQ(records[0].members, (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(records[1].members, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(records[2].block, 6u);
+  EXPECT_EQ(records[2].members, (std::vector<std::uint32_t>{1, 3}));
+  EXPECT_EQ(records[3].block, 5u);
+  EXPECT_EQ(records[3].members, (std::vector<std::uint32_t>{0}));
+  for (const DrainedRecord& r : records) {
+    EXPECT_EQ(r.due_round, 3u);
+    EXPECT_EQ(r.count, r.members.size());
+  }
+  const std::vector<Delivery> due = expanded.collect_due(3);
+  ASSERT_EQ(due.size(), calls.size());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(due[i].recipient, calls[i].first);
+    EXPECT_EQ(due[i].block, calls[i].second);
+  }
+  EXPECT_EQ(grouped.pending(), 0u);
+}
+
+// schedule_all is one schedule() per recipient, ascending — including
+// across a 64-recipient word boundary and after a record for the same
+// block (recipient 0 can never extend it).
+TEST(DeliveryCalendar, ScheduleAllEqualsOneCallPerRecipient) {
+  constexpr std::uint32_t kRecipients = 70;
+  DeliveryCalendar bulk(kRecipients);
+  DeliveryCalendar single(kRecipients);
+  bulk.schedule(5, 3, 9);
+  single.schedule(5, 3, 9);
+  bulk.schedule_all(5, 9);
+  for (std::uint32_t r = 0; r < kRecipients; ++r) single.schedule(5, r, 9);
+  EXPECT_EQ(bulk.pending(), single.pending());
+  const std::vector<DrainedRecord> a = drain_all_records(bulk, 5);
+  const std::vector<DrainedRecord> b = drain_all_records(single, 5);
+  ASSERT_EQ(a.size(), 2u);
+  ASSERT_EQ(b.size(), 2u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].block, b[i].block);
+    EXPECT_EQ(a[i].count, b[i].count);
+    EXPECT_EQ(a[i].members, b[i].members);
+  }
+  EXPECT_EQ(a[1].count, kRecipients);
+}
+
+// A callback may schedule into the round being drained; the record it is
+// reading stays intact and the new delivery is drained in the same call.
+TEST(DeliveryCalendar, DrainRecordsToleratesSameRoundScheduling) {
+  DeliveryCalendar calendar(130);
+  calendar.schedule(2, 129, 1);
+  std::vector<DrainedRecord> seen;
+  calendar.drain_records(2, [&](const DeliveryRecord& r) {
+    if (r.block == 1) {
+      for (protocol::BlockIndex b = 2; b < 40; ++b) calendar.schedule(2, 0, b);
+    }
+    DrainedRecord d{r.due_round, r.block, r.count, {}};
+    for_each_member(r.members,
+                    [&d](std::uint32_t m) { d.members.push_back(m); });
+    seen.push_back(d);
+  });
+  ASSERT_EQ(seen.size(), 39u);
+  EXPECT_EQ(seen[0].members, (std::vector<std::uint32_t>{129}));
+  EXPECT_EQ(seen[38].block, 39u);
+  EXPECT_EQ(calendar.pending(), 0u);
 }
 
 TEST(DeliveryCalendar, RejectsBadRecipient) {
