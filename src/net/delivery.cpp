@@ -28,7 +28,8 @@ std::uint64_t* DeliveryCalendar::open_record(Bucket& bucket,
   // bucket whose capacity is retained across rounds (cleared, never
   // shrunk), so steady-state scheduling allocates nothing.
   bucket.records.push_back(Record{block, 0, 0});
-  bucket.words.resize(bucket.words.size() + words_per_set_, 0);  // neatbound-analyze: allow(hot-alloc)
+  // neatbound-analyze: allow(hot-alloc) — same bucket, same reason
+  bucket.words.resize(bucket.words.size() + words_per_set_, 0);
   return bucket.words.data() + bucket.words.size() - words_per_set_;
 }
 
@@ -38,11 +39,7 @@ void DeliveryCalendar::schedule_all(std::uint64_t due_round,
   // Recipient 0 can never extend an existing record, so the first of the
   // equivalent schedule() calls would open one; the rest extend it.
   std::uint64_t* words = open_record(bucket, block);
-  std::fill_n(words, words_per_set_, ~std::uint64_t{0});
-  if (recipient_count_ % 64 != 0) {
-    words[words_per_set_ - 1] =
-        (std::uint64_t{1} << (recipient_count_ % 64)) - 1;
-  }
+  set_all_members({words, words_per_set_}, recipient_count_);
   Record& record = bucket.records.back();
   record.highest = recipient_count_ - 1;
   record.count = recipient_count_;

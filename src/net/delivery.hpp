@@ -50,6 +50,16 @@ void for_each_member(std::span<const std::uint64_t> members, Fn&& fn) {
   }
 }
 
+/// Sets exactly the bits of recipients [0, count) in `members`, which
+/// holds (count + 63) / 64 words.
+inline void set_all_members(std::span<std::uint64_t> members,
+                            std::uint32_t count) noexcept {
+  std::fill(members.begin(), members.end(), ~std::uint64_t{0});
+  if (count % 64 != 0) {
+    members.back() = (std::uint64_t{1} << (count % 64)) - 1;
+  }
+}
+
 /// Round-indexed delivery calendar for all recipients: a flat ring buffer
 /// of per-round buckets.  Δ is small and bounded, so every in-flight
 /// message lives within a narrow window of future rounds — a

@@ -159,10 +159,8 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
   member_words_ = (std::size_t{honest_count_} + 63) / 64;
   solo_members_.assign(member_words_, 0);
   classes_.resize(1);
-  classes_[0].members.assign(member_words_, ~std::uint64_t{0});
-  if (honest_count_ % 64 != 0) {
-    classes_[0].members.back() = (std::uint64_t{1} << (honest_count_ % 64)) - 1;
-  }
+  classes_[0].members.resize(member_words_);
+  net::set_all_members(classes_[0].members, honest_count_);
   classes_[0].size = honest_count_;
   // There are never more classes than honest miners, so the merge pass's
   // table stays at most half full and its scratch never grows.

@@ -264,7 +264,7 @@ class ExecutionEngine {
   /// split copies into already-grown storage.
   std::vector<ViewClass> classes_;
   std::size_t live_classes_ = 1;
-  std::size_t member_words_;  ///< words per member bitset
+  std::size_t member_words_ = 0;  ///< words per member bitset
   /// A class view changed or split since the last merge pass.
   bool classes_changed_ = false;
   // Reused scratch for solo_class, merge_equal_classes and the tracker.

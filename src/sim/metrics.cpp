@@ -11,8 +11,8 @@ void ConsistencyTracker::observe_reorg(std::uint64_t depth) noexcept {
 void ConsistencyTracker::observe_round(
     std::span<const protocol::BlockIndex> tips,
     const protocol::BlockStore& store) {
-  // Deduplicate tips first: miners overwhelmingly share views, so the
-  // pairwise pass below runs on a handful of distinct values.  The dedup
+  // Deduplicate tips first: view classes can share a tip, and the
+  // pairwise pass below should run on distinct values only.  The dedup
   // is a single epoch-stamped pass (first-occurrence order), not a sort —
   // the pairwise maximum below is order-independent.
   ++epoch_;

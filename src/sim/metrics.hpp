@@ -25,7 +25,9 @@ class ConsistencyTracker {
   void observe_reorg(std::uint64_t depth) noexcept;
 
   /// Records the end-of-round honest tips; computes the worst pairwise
-  /// divergence among the (few) distinct tips.
+  /// divergence among the (few) distinct tips.  Any multiset with the
+  /// right distinct tips gives the same result: the engine passes one tip
+  /// per view class, which can repeat a tip but never misses one.
   void observe_round(std::span<const protocol::BlockIndex> tips,
                      const protocol::BlockStore& store);
 

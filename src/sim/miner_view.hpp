@@ -106,7 +106,8 @@ class MinerView {
   using Bits = std::vector<std::uint64_t>;
   [[nodiscard]] static bool test_bit(const Bits& bits,
                                      protocol::BlockIndex block) noexcept {
-    return block / 64 < bits.size() && ((bits[block / 64] >> (block % 64)) & 1);
+    return block / 64 < bits.size() &&
+           ((bits[block / 64] >> (block % 64)) & 1) != 0;
   }
   /// Sets bit `block`, growing `bits` to cover it.
   NEATBOUND_HOT static void set_bit(Bits& bits, protocol::BlockIndex block);

@@ -9,7 +9,7 @@
 //   NEATBOUND_ENSURES   postcondition on a computed result — always on;
 //   NEATBOUND_INVARIANT internal structural consistency of a data
 //                       structure across mutations (column lockstep,
-//                       intrusive-list ↔ bitset agreement, ring capacity).
+//                       orphan-buffer ↔ bitset agreement, ring capacity).
 //                       Active in Debug and sanitized builds, compiled out
 //                       (condition unevaluated) in Release.
 //
