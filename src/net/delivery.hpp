@@ -153,10 +153,14 @@ class DeliveryCalendar {
       // reason.
       for (std::size_t i = 0; i < bucket_at(base_round_).records.size();
            ++i) {
-        const Bucket& bucket = bucket_at(base_round_);
+        Bucket& bucket = bucket_at(base_round_);
         const Record record = bucket.records[i];
         std::copy_n(bucket.words.begin() + i * words_per_set_,
                     words_per_set_, members_.begin());
+        // Close the record before fn runs: a same-round schedule() from
+        // fn must open a new record, drained later in this loop, rather
+        // than join this already consumed one and be lost.
+        bucket.records[i].highest = ~std::uint32_t{0};
         pending_ -= record.count;
         fn(DeliveryRecord{base_round_, record.block, record.count,
                           members_});

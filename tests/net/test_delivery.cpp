@@ -215,6 +215,41 @@ TEST(DeliveryCalendar, DrainRecordsToleratesSameRoundScheduling) {
   EXPECT_EQ(calendar.pending(), 0u);
 }
 
+// A record is consumed before its callback runs, so scheduling the same
+// block to a higher recipient from inside the callback must open a new
+// record (delivered in the same drain) instead of joining the consumed one.
+TEST(DeliveryCalendar, DrainDeliversSameBlockScheduledFromItsCallback) {
+  DeliveryCalendar calendar(10);
+  calendar.schedule(2, 3, 7);
+  std::vector<DrainedRecord> seen;
+  calendar.drain_records(2, [&](const DeliveryRecord& r) {
+    if (seen.empty()) {
+      calendar.schedule(2, 5, 7);  // due this round
+      calendar.schedule(1, 9, 7);  // late: clamped into this round
+    }
+    DrainedRecord d{r.due_round, r.block, r.count, {}};
+    for_each_member(r.members,
+                    [&d](std::uint32_t m) { d.members.push_back(m); });
+    seen.push_back(d);
+  });
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].members, (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(seen[1].block, 7u);
+  EXPECT_EQ(seen[1].members, (std::vector<std::uint32_t>{5, 9}));
+  EXPECT_EQ(calendar.pending(), 0u);
+  EXPECT_FALSE(calendar.has_due(10));
+
+  // The per-recipient drain sees the same deliveries.
+  calendar.schedule(12, 3, 7);
+  std::vector<std::uint32_t> recipients;
+  calendar.drain_due(12, [&](const Delivery& d) {
+    if (recipients.empty()) calendar.schedule(12, 5, 7);
+    recipients.push_back(d.recipient);
+  });
+  EXPECT_EQ(recipients, (std::vector<std::uint32_t>{3, 5}));
+  EXPECT_EQ(calendar.pending(), 0u);
+}
+
 TEST(DeliveryCalendar, RejectsBadRecipient) {
   DeliveryCalendar calendar(2);
   EXPECT_THROW(calendar.schedule(1, 2, 0), ContractViolation);
