@@ -61,10 +61,6 @@ std::uint64_t Stream::bits() noexcept {
 
 std::uint64_t Stream::uniform_below(std::uint64_t bound) {
   NEATBOUND_EXPECTS(bound > 0, "uniform_below requires bound > 0");
-  // A power-of-two bound divides 2^64: nothing is rejected and the modulo
-  // is a mask — the same value as the general path, without its two
-  // divisions (per-recipient network delays draw with bound Δ).
-  if ((bound & (bound - 1)) == 0) return bits() & (bound - 1);
   // Classic rejection: discard draws below 2^64 mod bound so that the
   // final modulo is unbiased.
   const std::uint64_t threshold = (0 - bound) % bound;

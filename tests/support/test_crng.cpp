@@ -88,30 +88,6 @@ TEST(Crng, StreamReplaysItsSubspace) {
   }
 }
 
-// uniform_below is the rejection rule: skip draws below 2^64 mod bound,
-// return the first other draw mod bound.  A power-of-two bound rejects
-// nothing, so it must return exactly the next draw's low bits — the
-// masking fast path may not change a single value (network delays with
-// Δ = 4 draw through it).
-TEST(Crng, UniformBelowFollowsTheRejectionRule) {
-  const Key key{77, 88};
-  for (const std::uint64_t bound :
-       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
-        std::uint64_t{4}, std::uint64_t{6}, std::uint64_t{64},
-        std::uint64_t{1} << 33, (std::uint64_t{1} << 63) + 1,
-        std::uint64_t{1} << 63}) {
-    SCOPED_TRACE(bound);
-    Stream drawn(key, 5, bound, Purpose::kGeneric);
-    Stream raw(key, 5, bound, Purpose::kGeneric);
-    const std::uint64_t threshold = (0 - bound) % bound;
-    for (int i = 0; i < 64; ++i) {
-      std::uint64_t r = raw.bits();
-      while (r < threshold) r = raw.bits();
-      EXPECT_EQ(drawn.uniform_below(bound), r % bound);
-    }
-  }
-}
-
 TEST(Crng, StreamsOnDifferentSubspacesDiffer) {
   const Key key{1, 2};
   Stream a(key, 0, 0, Purpose::kGeneric);
