@@ -283,7 +283,10 @@ void ExecutionEngine::merge_equal_classes() {
   // comparison confirms a candidate.  Slots are stamped with the pass
   // number, so the table is never cleared.  After every pass the live
   // classes are pairwise distinct, so two untouched classes are never
-  // compared.
+  // compared.  A pairwise scan would do for the usual 3-7 classes, but
+  // private-withhold on the uniform network at multiple 0.2 (dense_unsafe)
+  // brings up to 658 live classes into one pass at n = 1000 (24 on
+  // average), and there a pairwise scan ran 5% slower end to end.
   ++merge_epoch_;
   const std::size_t mask = merge_slot_class_.size() - 1;
   for (std::size_t c = 0; c < live_classes_; ++c) {
