@@ -14,7 +14,7 @@
 #include "sim/engine.hpp"
 #include "sim/strategies.hpp"
 #include "support/logprob.hpp"
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace {
 
@@ -31,15 +31,15 @@ void BM_LogProbMulAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_LogProbMulAdd);
 
-void BM_RngBinomialSmallMean(benchmark::State& state) {
-  Rng rng(1);
+void BM_StreamBinomialSmallMean(benchmark::State& state) {
+  crng::Stream rng(crng::Key{0, 1}, 0, 0, crng::Purpose::kGeneric);
   const auto n = static_cast<std::uint64_t>(state.range(0));
   const double p = 0.5 / static_cast<double>(n);  // mean 0.5
   for (auto _ : state) {
     benchmark::DoNotOptimize(rng.binomial(n, p));
   }
 }
-BENCHMARK(BM_RngBinomialSmallMean)->Arg(100)->Arg(10000)->Arg(1000000);
+BENCHMARK(BM_StreamBinomialSmallMean)->Arg(100)->Arg(10000)->Arg(1000000);
 
 void BM_SuffixChainStationaryPower(benchmark::State& state) {
   const auto delta = static_cast<std::uint64_t>(state.range(0));
@@ -104,7 +104,7 @@ void BM_ExecutionEngineRounds(benchmark::State& state) {
 BENCHMARK(BM_ExecutionEngineRounds)->Arg(2000)->Arg(10000);
 
 void BM_ConvergenceCounting(benchmark::State& state) {
-  Rng rng(3);
+  crng::Stream rng(crng::Key{0, 3}, 0, 0, crng::Purpose::kGeneric);
   std::vector<std::uint32_t> counts(100000);
   for (auto& c : counts) {
     c = static_cast<std::uint32_t>(rng.binomial(150, 0.001));

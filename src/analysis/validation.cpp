@@ -10,6 +10,7 @@
 #include "markov/walk.hpp"
 #include "sim/aggregate.hpp"
 #include "stats/large_deviations.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::analysis {
 
@@ -111,9 +112,9 @@ StationaryComparisonRow compare_stationary(std::uint64_t delta, double alpha,
         row.max_abs_err_fixed, std::fabs(closed[i] - fixed.distribution[i]));
   }
 
-  // neatbound-analyze: allow(rng-stream) — analysis-side walk seeding
-  // (see markov/walk.hpp)
-  markov::RandomWalk walk(matrix, /*start=*/0, Rng(seed));
+  markov::RandomWalk walk(
+      matrix, /*start=*/0,
+      crng::Stream(crng::Key{0, seed}, 0, 0, crng::Purpose::kWalk));
   const auto visits = walk.visit_counts(walk_steps);
   for (std::size_t i = 0; i < closed.size(); ++i) {
     const double freq = static_cast<double>(visits[i]) /

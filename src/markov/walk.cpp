@@ -3,16 +3,14 @@
 namespace neatbound::markov {
 
 RandomWalk::RandomWalk(const TransitionMatrix& matrix, std::size_t start,
-                       // neatbound-analyze: allow(rng-stream) —
-                       // analysis-side walk (see walk.hpp)
-                       Rng rng)
-    : matrix_(matrix), current_(start), rng_(rng) {
+                       crng::Stream stream)
+    : matrix_(matrix), current_(start), stream_(stream) {
   NEATBOUND_EXPECTS(start < matrix.size(), "start state out of range");
 }
 
 std::size_t RandomWalk::step() {
   const auto row = matrix_.row(current_);
-  double u = rng_.uniform();
+  double u = stream_.uniform();
   // Inverse-CDF walk along the row; the final state absorbs any floating-
   // point slack so the step is total.
   for (std::size_t j = 0; j + 1 < row.size(); ++j) {

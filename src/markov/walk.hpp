@@ -7,17 +7,15 @@
 #include <vector>
 
 #include "markov/chain.hpp"
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::markov {
 
 class RandomWalk {
  public:
-  /// Starts at `start`; the walk owns its RNG stream.
-  // neatbound-analyze: allow(rng-stream) — analysis-side Monte Carlo
-  // cross-check, never replayed out of order; a crng::Purpose::kWalk
-  // migration is reserved but not yet scheduled.
-  RandomWalk(const TransitionMatrix& matrix, std::size_t start, Rng rng);
+  /// Starts at `start`; the walk owns its draw stream.
+  RandomWalk(const TransitionMatrix& matrix, std::size_t start,
+             crng::Stream stream);
 
   /// Takes one step; returns the new state.
   std::size_t step();
@@ -31,8 +29,7 @@ class RandomWalk {
  private:
   const TransitionMatrix& matrix_;
   std::size_t current_;
-  // neatbound-analyze: allow(rng-stream) — analysis-side walk (above)
-  Rng rng_;
+  crng::Stream stream_;
 };
 
 }  // namespace neatbound::markov

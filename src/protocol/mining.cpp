@@ -5,10 +5,8 @@ namespace neatbound::protocol {
 std::optional<Block> try_mine(const RandomOracle& oracle,
                               const PowTarget& target, HashValue parent_hash,
                               std::uint64_t payload_digest,
-                              // neatbound-analyze: allow(rng-stream) —
-                              // protocol primitive (see the declaration)
-                              Rng& rng) {
-  Block block = assemble_block(oracle, parent_hash, payload_digest, rng.bits());
+                              std::uint64_t nonce) {
+  Block block = assemble_block(oracle, parent_hash, payload_digest, nonce);
   if (!target.satisfied_by(block.hash)) return std::nullopt;
   return block;
 }

@@ -6,12 +6,12 @@
 
 #include "protocol/block.hpp"
 #include "protocol/hash.hpp"
-#include "support/rng.hpp"
 
 namespace neatbound::protocol {
 
-/// Attempts a single proof-of-work query: draws a fresh nonce η, computes
-/// H(parent_hash, η, payload_digest) and succeeds iff it meets the target.
+/// Attempts a single proof-of-work query: computes
+/// H(parent_hash, η, payload_digest) for the caller's fresh nonce η and
+/// succeeds iff it meets the target.
 /// Returns the assembled block on success (miner/class/round/message are
 /// filled by the caller), nullopt on failure.
 ///
@@ -21,9 +21,7 @@ namespace neatbound::protocol {
                                             const PowTarget& target,
                                             HashValue parent_hash,
                                             std::uint64_t payload_digest,
-    // neatbound-analyze: allow(rng-stream) — protocol primitive; the
-    // caller owns the nonce stream
-                                            Rng& rng);
+                                            std::uint64_t nonce);
 
 /// The engine's assembly: success of the query was already decided by the
 /// addressable Bernoulli(p) field (sim/draws.hpp), so no target test is

@@ -221,8 +221,7 @@ sim::ViewSnapshot parse_view(const JsonValue& view, std::size_t index) {
   reject_unknown_keys(view, {"miner", "tip", "height", "hash"}, where);
   sim::ViewSnapshot snapshot;
   snapshot.miner = require(view, "miner", where).as_uint32(where + ".miner");
-  snapshot.tip = static_cast<protocol::BlockIndex>(
-      require(view, "tip", where).as_uint());
+  snapshot.tip = require(view, "tip", where).as_uint32(where + ".tip");
   snapshot.height = require(view, "height", where).as_uint();
   snapshot.hash = parse_hex16(require(view, "hash", where).as_string(), where);
   if (snapshot.miner != index) {

@@ -7,7 +7,7 @@
 #include "net/models.hpp"
 #include "sim/schedule_adversary.hpp"
 #include "sim/strategies.hpp"
-#include "support/rng.hpp"  // mix64 only (stateless key hashing)
+#include "support/crng.hpp"
 
 namespace neatbound::scenario {
 
@@ -151,7 +151,7 @@ void register_builtin_networks(ScenarioRegistry& registry) {
         // delays.  The salt shifts the cell word so two salted models on
         // one run stay independent.
         crng::Key key = sim::engine_rng_key(engine);
-        key.cell ^= mix64(0x756e69666f726dULL + salt);  // "uniform"
+        key.cell ^= crng::mix64(0x756e69666f726dULL + salt);  // "uniform"
         return std::unique_ptr<net::DeliverySchedule>(
             std::make_unique<net::CounterUniformDelay>(engine.delta, key));
       });

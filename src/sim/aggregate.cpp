@@ -5,7 +5,6 @@
 
 #include "support/contracts.hpp"
 #include "support/crng.hpp"
-#include "support/rng.hpp"  // mix64 only (stateless key hashing)
 
 namespace neatbound::sim {
 
@@ -70,7 +69,7 @@ AggregateResult run_impl(const AggregateConfig& config,
   // bit-exact prefix extension and every round's binomials stay
   // addressable as (key, round) — no sequential state to replay.
   std::uint64_t cell = 0x61676772656e6764ULL;  // "aggrengd" domain tag
-  const auto fold = [&cell](std::uint64_t v) { cell = mix64(cell ^ v); };
+  const auto fold = [&cell](std::uint64_t v) { cell = crng::mix64(cell ^ v); };
   fold(honest_n);
   fold(adversary_n);
   fold(std::bit_cast<std::uint64_t>(config.p));

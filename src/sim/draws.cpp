@@ -19,7 +19,7 @@ std::uint64_t GapCursor::next_gap() {
   if ((i & 3) == 0) {
     buffer_ = crng::philox4x64({i >> 2, 0, purpose_, 0}, key_);
   }
-  // Same inversion arithmetic as Rng/Stream::geometric_failures: the gap
+  // Same inversion arithmetic as Stream::geometric_failures: the gap
   // is floor(ln U / ln(1−p)) with U ∈ (0, 1].
   const double u = 1.0 - crng::to_unit(buffer_[i & 3]);
   return static_cast<std::uint64_t>(std::floor(std::log(u) / log_q_));

@@ -7,8 +7,8 @@
 #include "chains/convergence.hpp"
 #include "protocol/mining.hpp"
 #include "support/contracts.hpp"
+#include "support/crng.hpp"
 #include "support/invariant.hpp"
-#include "support/rng.hpp"  // mix64 only (stateless key hashing)
 
 namespace neatbound::sim {
 
@@ -31,7 +31,7 @@ crng::Key engine_rng_key(const EngineConfig& config) {
   // Chained mix over the trajectory-shaping parameters; `rounds` and
   // `seed` deliberately excluded (see the declaration comment).
   std::uint64_t cell = 0x6e65617462756e64ULL;  // "neatbund" domain tag
-  const auto fold = [&cell](std::uint64_t v) { cell = mix64(cell ^ v); };
+  const auto fold = [&cell](std::uint64_t v) { cell = crng::mix64(cell ^ v); };
   fold(config.miner_count);
   fold(std::bit_cast<std::uint64_t>(config.adversary_fraction));
   fold(std::bit_cast<std::uint64_t>(config.p));
@@ -138,7 +138,7 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
     : config_(config),
       honest_count_(honest_miner_count(config)),
       adversary_queries_(corrupted_count(config)),
-      oracle_(mix64(config.seed ^ 0x5bd1e995u)),
+      oracle_(crng::mix64(config.seed ^ 0x5bd1e995u)),
       calendar_(honest_miner_count(config)),
       adversary_(std::move(adversary)),
       environment_(std::move(environment)),

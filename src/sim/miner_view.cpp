@@ -3,18 +3,16 @@
 #include <algorithm>
 
 #include "support/contracts.hpp"
+#include "support/crng.hpp"
 #include "support/invariant.hpp"
 
 namespace neatbound::sim {
 
 namespace {
-/// A block's contribution to the known-set hash (the splitmix64 output
-/// function, so nearby indices spread over all 64 bits).
+/// A block's contribution to the known-set hash (mixed, so nearby
+/// indices spread over all 64 bits).
 constexpr std::uint64_t block_key(protocol::BlockIndex block) noexcept {
-  std::uint64_t x = block + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  return crng::mix64(block + 0x9e3779b97f4a7c15ULL);
 }
 }  // namespace
 

@@ -97,19 +97,10 @@ void InvariantOracle::observe(const ExecutionEngine& engine,
 void InvariantOracle::record_round(const ExecutionEngine& engine,
                                    std::uint64_t round) {
   if (violation_.has_value()) return;  // the slice is frozen
-  // Circular slot reuse: assign into the slot so mined_by keeps its
+  // Circular slot reuse: filling the slot in place keeps its mined_by
   // capacity — steady state allocates nothing.
-  RoundRecord& slot = record_ring_[(round - 1) % config_.slice_rounds];
-  const RoundActivity& activity = engine.round_activity();
-  slot.round = round;
-  slot.honest_mined = activity.honest_mined;
-  slot.adversary_mined = activity.adversary_mined;
-  slot.mined_by.assign(engine.round_miners().begin(),
-                       engine.round_miners().end());
-  slot.delivered = activity.delivered;
-  slot.adoptions = activity.adoptions;
-  slot.best_height = engine.best_height();
-  slot.violation_depth = engine.violation_depth();
+  fill_round_record(engine, round,
+                    record_ring_[(round - 1) % config_.slice_rounds]);
 }
 
 void InvariantOracle::check_common_prefix(const ExecutionEngine& engine,

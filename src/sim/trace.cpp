@@ -134,17 +134,14 @@ RoundRecord round_record_from_json(const support::JsonValue& value) {
   }
   RoundRecord record;
   record.round = value.at("round").as_uint();
-  record.honest_mined =
-      static_cast<std::uint32_t>(value.at("honest_mined").as_uint());
+  record.honest_mined = value.at("honest_mined").as_uint32("honest_mined");
   record.adversary_mined =
-      static_cast<std::uint32_t>(value.at("adversary_mined").as_uint());
+      value.at("adversary_mined").as_uint32("adversary_mined");
   for (const support::JsonValue& id : value.at("mined_by").as_array()) {
-    record.mined_by.push_back(static_cast<std::uint32_t>(id.as_uint()));
+    record.mined_by.push_back(id.as_uint32("mined_by"));
   }
-  record.delivered =
-      static_cast<std::uint32_t>(value.at("delivered").as_uint());
-  record.adoptions =
-      static_cast<std::uint32_t>(value.at("adoptions").as_uint());
+  record.delivered = value.at("delivered").as_uint32("delivered");
+  record.adoptions = value.at("adoptions").as_uint32("adoptions");
   record.best_height = value.at("best_height").as_uint();
   record.violation_depth = value.at("violation_depth").as_uint();
   // Empty mined_by with honest_mined > 0 is the aggregate-engine form
@@ -184,10 +181,9 @@ std::vector<RoundRecord> read_trace_jsonl(std::istream& is) {
   return records;
 }
 
-RoundRecord make_round_record(const ExecutionEngine& engine,
-                              std::uint64_t round) {
+void fill_round_record(const ExecutionEngine& engine, std::uint64_t round,
+                       RoundRecord& record) {
   const RoundActivity& activity = engine.round_activity();
-  RoundRecord record;
   record.round = round;
   record.honest_mined = activity.honest_mined;
   record.adversary_mined = activity.adversary_mined;
@@ -197,12 +193,13 @@ RoundRecord make_round_record(const ExecutionEngine& engine,
   record.adoptions = activity.adoptions;
   record.best_height = engine.best_height();
   record.violation_depth = engine.violation_depth();
-  return record;
 }
 
 ExecutionEngine::RoundObserver make_round_tracer(RoundTraceSink& sink) {
-  return [&sink](const ExecutionEngine& engine, std::uint64_t round) {
-    sink.on_round(make_round_record(engine, round));
+  return [&sink, record = RoundRecord{}](const ExecutionEngine& engine,
+                                         std::uint64_t round) mutable {
+    fill_round_record(engine, round, record);
+    sink.on_round(record);
   };
 }
 

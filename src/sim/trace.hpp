@@ -116,12 +116,14 @@ class BoundedTraceWriter final : public RoundTraceSink {
 [[nodiscard]] RoundRecord round_record_from_json(
     const support::JsonValue& value);
 
-/// Assembles one RoundRecord from the engine's per-round activity
-/// accessors — the single definition of how engine state maps onto the
-/// trace schema, shared by make_round_tracer and the invariant oracle's
-/// slice recorder (sim/oracle.hpp).
-[[nodiscard]] RoundRecord make_round_record(const ExecutionEngine& engine,
-                                            std::uint64_t round);
+/// Fills `record` from the engine's per-round activity accessors — the
+/// single definition of how engine state maps onto the trace schema,
+/// shared by make_round_tracer and the invariant oracle's slice recorder
+/// (sim/oracle.hpp).  Every field is overwritten; mined_by is assigned in
+/// place, so a reused record keeps its capacity and steady state
+/// allocates nothing.
+void fill_round_record(const ExecutionEngine& engine, std::uint64_t round,
+                       RoundRecord& record);
 
 /// An engine observer that assembles a RoundRecord from the engine's
 /// per-round activity accessors after each round and feeds `sink`.  The

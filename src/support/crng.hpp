@@ -1,10 +1,13 @@
-// Counter-based pseudo-random number generation (Philox4x64-10).
+// Counter-based pseudo-random number generation (Philox4x64-10), the
+// repo's only random number generator.
 //
-// Unlike support/rng.hpp's sequential streams, every draw here is a pure
-// function of (key, counter): there is no hidden state to thread through
-// the simulator, so any draw is addressable out of order, from any
-// thread, and identically whether a run steps a round or skips it as
-// quiet (sim/engine.hpp).  The simulator keys draws as
+// Every draw is a pure function of (key, counter): there is no hidden
+// state to thread through the simulator, so any draw is addressable out
+// of order, from any thread, and identically whether a run steps a round
+// or skips it as quiet (sim/engine.hpp).  The library never uses
+// std::*_distribution: their output sequences are implementation-defined,
+// which would make seed-pinned tests and recorded outputs
+// non-reproducible across standard libraries.  The simulator keys draws as
 //
 //   key     = (cell, seed)            cell = hash of the engine params
 //   counter = (a, b, purpose, slot)   a = round or flat draw index,
@@ -67,9 +70,18 @@ using Block = std::array<std::uint64_t, 4>;
 /// directly when a call site can consume several lanes.
 [[nodiscard]] std::uint64_t draw(const Key& key, const Counter& counter) noexcept;
 
+/// Stateless 64-bit mixer: the splitmix64 output function (Steele et al.,
+/// OOPSLA'14).  Not a draw — it hashes keys (engine cells, oracle
+/// tuples, known-set members) so nearby inputs spread over all 64 bits.
+[[nodiscard]] inline constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Maps 64 random bits to a uniform double in [0, 1) with 53 bits of
-/// precision — the same mapping as support::Rng::uniform(), so both
-/// generators share one real-valued draw convention.
+/// precision: the top 53 bits scaled by 2⁻⁵³.  Every real-valued draw in
+/// the repo (Stream::uniform, the gap cursors of sim/draws.cpp) uses it.
 [[nodiscard]] inline double to_unit(std::uint64_t bits) noexcept {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }
@@ -78,9 +90,7 @@ using Block = std::array<std::uint64_t, 4>;
 /// distributions whose draw count is data-dependent (rejection sampling,
 /// BINV inversion).  Consumes lanes of slot 0, 1, 2, ... in order; two
 /// Streams on the same subspace produce identical sequences, and Streams
-/// on different subspaces are independent.  The distribution arithmetic
-/// mirrors support::Rng exactly (same mappings, cutoffs and inversions),
-/// only the bit source differs.
+/// on different subspaces are independent.
 class Stream {
  public:
   Stream(Key key, std::uint64_t a, std::uint64_t b, Purpose purpose) noexcept
@@ -99,8 +109,14 @@ class Stream {
   /// Bernoulli(p).
   [[nodiscard]] bool bernoulli(double p);
 
-  /// Binomial(n, p) — exact distribution (BINV with recursive splitting,
-  /// identical arithmetic to support::Rng::binomial).
+  /// Binomial(n, p) — exact distribution.
+  ///
+  /// Uses BINV sequential inversion, O(1 + np) expected time, when
+  /// np ≤ kInversionCutoff; otherwise splits the trial count into chunks
+  /// (Binomial(a+b, p) = Binomial(a, p) + Binomial(b, p)) so that each
+  /// is inverted cheaply.  Exactness matters: the paper's per-round block
+  /// counts are Binomial(μn, p) and Binomial(νn, p) with tiny p, and the
+  /// tails (P[X=1] vs P[X>1]) are precisely what the analysis counts.
   [[nodiscard]] std::uint64_t binomial(std::uint64_t n, double p);
 
   /// Geometric: number of Bernoulli(p) failures before the first success.

@@ -7,6 +7,7 @@
 #include "markov/structure.hpp"
 #include "markov/walk.hpp"
 #include "support/contracts.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::chains {
 namespace {
@@ -175,7 +176,9 @@ TEST_P(SuffixChainSweep, WalkFrequenciesApproachClosedForm) {
   const SuffixStateSpace space(delta);
   const auto m = build_suffix_chain_matrix(space, alpha);
   const auto pi = stationary_closed_form_vector(space, alpha);
-  markov::RandomWalk walk(m, 0, Rng(1234 + delta));
+  const crng::Stream stream(crng::Key{0, 1234 + delta}, 0, 0,
+                            crng::Purpose::kGeneric);
+  markov::RandomWalk walk(m, 0, stream);
   const std::uint64_t steps = 200000;
   const auto visits = walk.visit_counts(steps);
   for (std::size_t i = 0; i < space.size(); ++i) {

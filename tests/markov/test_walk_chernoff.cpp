@@ -6,6 +6,7 @@
 #include "markov/stationary.hpp"
 #include "markov/walk.hpp"
 #include "support/contracts.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::markov {
 namespace {
@@ -22,7 +23,8 @@ TransitionMatrix two_state(double a, double b) {
 TEST(RandomWalk, VisitFrequenciesMatchStationary) {
   const double a = 0.3, b = 0.1;
   const auto m = two_state(a, b);
-  RandomWalk walk(m, 0, Rng(99));
+  const crng::Stream stream(crng::Key{0, 99}, 0, 0, crng::Purpose::kGeneric);
+  RandomWalk walk(m, 0, stream);
   const std::uint64_t steps = 400000;
   const auto visits = walk.visit_counts(steps);
   const double freq1 =
@@ -32,7 +34,8 @@ TEST(RandomWalk, VisitFrequenciesMatchStationary) {
 
 TEST(RandomWalk, StepReturnsCurrentState) {
   const auto m = two_state(0.5, 0.5);
-  RandomWalk walk(m, 0, Rng(7));
+  const crng::Stream stream(crng::Key{0, 7}, 0, 0, crng::Purpose::kGeneric);
+  RandomWalk walk(m, 0, stream);
   for (int i = 0; i < 10; ++i) {
     const std::size_t stepped = walk.step();
     EXPECT_EQ(stepped, walk.current());
@@ -44,7 +47,8 @@ TEST(RandomWalk, DeterministicChainFollowsCycle) {
   m.set(0, 1, 1.0);
   m.set(1, 2, 1.0);
   m.set(2, 0, 1.0);
-  RandomWalk walk(m, 0, Rng(1));
+  const crng::Stream stream(crng::Key{0, 1}, 0, 0, crng::Purpose::kGeneric);
+  RandomWalk walk(m, 0, stream);
   EXPECT_EQ(walk.step(), 1u);
   EXPECT_EQ(walk.step(), 2u);
   EXPECT_EQ(walk.step(), 0u);
@@ -52,7 +56,8 @@ TEST(RandomWalk, DeterministicChainFollowsCycle) {
 
 TEST(RandomWalk, StartOutOfRangeThrows) {
   const auto m = two_state(0.5, 0.5);
-  EXPECT_THROW(RandomWalk(m, 5, Rng(1)), ContractViolation);
+  const crng::Stream stream(crng::Key{0, 1}, 0, 0, crng::Purpose::kGeneric);
+  EXPECT_THROW(RandomWalk(m, 5, stream), ContractViolation);
 }
 
 TEST(PiNorm, UniformOverUniformIsOne) {
@@ -143,7 +148,8 @@ TEST(MarkovChernoff, EmpiricalConcentrationWithinBound) {
   int below = 0;
   const int reps = 300;
   for (int r = 0; r < reps; ++r) {
-    RandomWalk walk(m, 0, Rng(1000 + static_cast<std::uint64_t>(r)));
+    const crng::Key key{0, 1000 + static_cast<std::uint64_t>(r)};
+    RandomWalk walk(m, 0, crng::Stream(key, 0, 0, crng::Purpose::kGeneric));
     const auto visits = walk.visit_counts(steps);
     const double count = static_cast<double>(visits[1]);
     if (count <= (1.0 - delta) * mass * static_cast<double>(steps)) ++below;

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "support/contracts.hpp"
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::net {
 namespace {
@@ -87,7 +87,7 @@ TEST(DeliveryCalendar, LateScheduleClampsToNextCollect) {
 }
 
 TEST(DeliveryCalendar, DrainDueMatchesCollectDue) {
-  Rng rng(5);
+  crng::Stream rng(crng::Key{0, 5}, 0, 0, crng::Purpose::kGeneric);
   std::vector<Delivery> inserts;
   for (int i = 0; i < 200; ++i) {
     inserts.push_back(

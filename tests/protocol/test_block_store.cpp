@@ -5,7 +5,7 @@
 #include "protocol/mining.hpp"
 #include "protocol/validation.hpp"
 #include "support/contracts.hpp"
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::protocol {
 namespace {
@@ -135,12 +135,12 @@ TEST(Validation, AcceptsHonestlyMinedChain) {
   const RandomOracle oracle(21);
   const PowTarget target = PowTarget::from_probability(0.5);
   BlockStore store;
-  Rng rng(22);
+  crng::Stream rng(crng::Key{0, 22}, 0, 0, crng::Purpose::kGeneric);
   BlockIndex tip = kGenesisIndex;
   std::uint64_t round = 1;
   while (store.height_of(tip) < 5) {
     auto mined = try_mine(oracle, target, store.block(tip).hash,
-                          mix64(round), rng);
+                          crng::mix64(round), rng.bits());
     ++round;
     if (!mined) continue;
     mined->round = round;

@@ -4,7 +4,7 @@
 #include "protocol/mining.hpp"
 #include "stats/intervals.hpp"
 #include "support/contracts.hpp"
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::protocol {
 namespace {
@@ -75,11 +75,11 @@ TEST(TryMine, SuccessRateMatchesP) {
   const RandomOracle oracle(3);
   const double p = 0.01;
   const PowTarget target = PowTarget::from_probability(p);
-  Rng rng(5);
+  crng::Stream rng(crng::Key{0, 5}, 0, 0, crng::Purpose::kGeneric);
   std::uint64_t successes = 0;
   const std::uint64_t trials = 300000;
   for (std::uint64_t i = 0; i < trials; ++i) {
-    if (try_mine(oracle, target, /*parent=*/i, /*payload=*/i, rng)) {
+    if (try_mine(oracle, target, /*parent=*/i, /*payload=*/i, rng.bits())) {
       ++successes;
     }
   }
@@ -91,9 +91,9 @@ TEST(TryMine, SuccessRateMatchesP) {
 TEST(TryMine, SuccessfulBlockVerifies) {
   const RandomOracle oracle(9);
   const PowTarget target = PowTarget::from_probability(0.5);
-  Rng rng(2);
+  crng::Stream rng(crng::Key{0, 2}, 0, 0, crng::Purpose::kGeneric);
   for (int i = 0; i < 100; ++i) {
-    const auto block = try_mine(oracle, target, 1234, 5678, rng);
+    const auto block = try_mine(oracle, target, 1234, 5678, rng.bits());
     if (!block) continue;
     EXPECT_TRUE(oracle.verify(1234, block->nonce, 5678, block->hash));
     EXPECT_TRUE(target.satisfied_by(block->hash));

@@ -14,6 +14,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
 #include "sim/oracle.hpp"
+#include "sim/trace.hpp"
 #include "support/contracts.hpp"
 
 namespace neatbound::scenario {
@@ -258,6 +259,22 @@ TEST(Artifact, StrictReaderRejectsOutOfRangeIdsAndNonCounterRng) {
       "violation.view_b");
   expect_error_naming(replaced(good, "\"miner\":0", "\"miner\":4294967296"),
                       "views[0].miner");
+  // 32-bit fields 2^32 above their recorded value would wrap back onto
+  // it and replay as bit-identical.
+  constexpr std::uint64_t kWrap = std::uint64_t{1} << 32;
+  const std::string tip = ",\"tip\":" + std::to_string(artifact.views[0].tip);
+  expect_error_naming(
+      replaced(good, "\"miner\":0" + tip,
+               "\"miner\":0,\"tip\":" +
+                   std::to_string(artifact.views[0].tip + kWrap)),
+      "views[0].tip");
+  const sim::RoundRecord& first = artifact.slice.front();
+  const std::string line = sim::to_jsonl_line(first);
+  const std::string wrapped_line = replaced(
+      line, "\"delivered\":" + std::to_string(first.delivered),
+      "\"delivered\":" + std::to_string(first.delivered + kWrap));
+  expect_error_naming(replaced(good, line, wrapped_line),
+                      "trace[0]: delivered");
   expect_error_naming(replaced(good, "\"rng\":\"counter\"", "\"rng\":\"legacy\""),
                       "rng must be 'counter'");
 }

@@ -14,7 +14,7 @@
 #include "protocol/validation.hpp"
 #include "sim/engine.hpp"
 #include "sim/strategies.hpp"
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::sim {
 namespace {
@@ -24,7 +24,8 @@ namespace {
 /// that the engine must clamp), sometimes sits idle.
 class FuzzAdversary final : public Adversary {
  public:
-  explicit FuzzAdversary(std::uint64_t seed) : rng_(seed) {}
+  explicit FuzzAdversary(std::uint64_t seed)
+      : rng_(crng::Key{0, seed}, 0, 0, crng::Purpose::kGeneric) {}
 
   std::uint64_t honest_delay(std::uint64_t, std::uint32_t, std::uint32_t,
                              protocol::BlockIndex) override {
@@ -75,7 +76,7 @@ class FuzzAdversary final : public Adversary {
   const char* name() const override { return "fuzz"; }
 
  private:
-  Rng rng_;
+  crng::Stream rng_;
   std::vector<protocol::BlockIndex> mine_targets_;
   std::vector<protocol::BlockIndex> withheld_;
 };

@@ -165,6 +165,35 @@ TEST(TraceJsonl, ReaderRejectsSchemaDrift) {
   // ... and a trailing blank is fine (a flushed, truncated file).
   std::istringstream trailing(good + "\n\n");
   EXPECT_EQ(read_trace_jsonl(trailing).size(), 1u);
+
+  // The 32-bit fields, each 2^32 above the sample's value so that a
+  // narrowing cast would wrap it back onto `good`: rejected, by name.
+  const struct {
+    const char* field;
+    const char* from;
+    const char* to;
+  } wrapped[] = {
+      {"honest_mined", "\"honest_mined\":2", "\"honest_mined\":4294967298"},
+      {"adversary_mined", "\"adversary_mined\":1",
+       "\"adversary_mined\":4294967297"},
+      {"mined_by", "[3,7]", "[3,4294967303]"},
+      {"delivered", "\"delivered\":5", "\"delivered\":4294967301"},
+      {"adoptions", "\"adoptions\":4", "\"adoptions\":4294967300"},
+  };
+  for (const auto& w : wrapped) {
+    std::string text = good;
+    const std::size_t at = text.find(w.from);
+    ASSERT_NE(at, std::string::npos) << w.from;
+    text.replace(at, std::string(w.from).size(), w.to);
+    std::istringstream is(text + "\n");
+    try {
+      (void)read_trace_jsonl(is);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(w.field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 EngineConfig traced_config() {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "support/contracts.hpp"
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::stats {
 namespace {
@@ -13,7 +13,7 @@ namespace {
 /// AR(1) series x_{t+1} = φ·x_t + ε with known integrated autocorrelation
 /// time (1+φ)/(1−φ).
 std::vector<double> ar1(double phi, std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
+  crng::Stream rng(crng::Key{0, seed}, 0, 0, crng::Purpose::kGeneric);
   std::vector<double> x(n);
   double cur = 0.0;
   for (std::size_t t = 0; t < n; ++t) {

@@ -3,7 +3,10 @@
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <set>
 #include <vector>
+
+#include "support/contracts.hpp"
 
 namespace neatbound::crng {
 namespace {
@@ -38,6 +41,20 @@ TEST(CrngKat, DrawIsLaneZero) {
   const KatRow& row = kKat[2];
   EXPECT_EQ(draw(Key{row.k0, row.k1}, Counter{row.c0, row.c1, row.c2, row.c3}),
             row.out0);
+}
+
+// mix64 is the splitmix64 output function, so the first splitmix64 output
+// from seed 0 (state advanced once by the golden-ratio increment) is its
+// value at 0x9e3779b97f4a7c15; the reference implementation gives
+// 0xe220a8397b1dcdaf.
+TEST(CrngKat, Mix64MatchesSplitmix64Reference) {
+  EXPECT_EQ(mix64(0x9e3779b97f4a7c15ULL), 0xe220a8397b1dcdafULL);
+}
+
+TEST(Crng, Mix64IsInjectiveOnConsecutiveInputs) {
+  std::set<std::uint64_t> outputs;
+  for (std::uint64_t i = 0; i < 10000; ++i) outputs.insert(mix64(i));
+  EXPECT_EQ(outputs.size(), 10000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -176,6 +193,23 @@ TEST(CrngStats, BinomialMeanVariance) {
   EXPECT_NEAR(var, true_var, 0.35);
 }
 
+TEST(CrngStats, BinomialSymmetryPath) {
+  // p > 1/2 goes through the reflection n − Binomial(n, 1 − p).
+  Stream s(Key{2026, 8}, 0, 0, Purpose::kGeneric);
+  const std::uint64_t trials = 20;
+  const double p = 0.9;
+  const int n = 100000;
+  double sum = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double x = static_cast<double>(s.binomial(trials, p));
+    ASSERT_LE(x, static_cast<double>(trials));
+    sum += x;
+  }
+  const double true_mean = trials * p;  // 18
+  const double sd = std::sqrt(trials * p * (1.0 - p) / n);
+  EXPECT_NEAR(sum / n, true_mean, 4.0 * sd);
+}
+
 TEST(CrngStats, BinomialLargeCountUsesSplitting) {
   // np far above the inversion cutoff exercises the recursive split.
   Stream s(Key{2026, 5}, 0, 0, Purpose::kGeneric);
@@ -214,6 +248,25 @@ TEST(CrngStats, GeometricEdgeCases) {
   EXPECT_EQ(s.binomial(0, 0.5), 0u);
   EXPECT_EQ(s.binomial(10, 0.0), 0u);
   EXPECT_EQ(s.binomial(10, 1.0), 10u);
+}
+
+TEST(CrngStats, BernoulliDegenerate) {
+  Stream s(Key{2026, 9}, 0, 0, Purpose::kGeneric);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(s.bernoulli(0.0));
+    EXPECT_TRUE(s.bernoulli(1.0));
+  }
+}
+
+TEST(Crng, StreamRejectsOutOfDomainArguments) {
+  Stream s(Key{2026, 10}, 0, 0, Purpose::kGeneric);
+  EXPECT_THROW((void)s.uniform_below(0), ContractViolation);
+  for (const double p : {-0.1, 1.1}) {
+    EXPECT_THROW((void)s.bernoulli(p), ContractViolation) << p;
+    EXPECT_THROW((void)s.binomial(10, p), ContractViolation) << p;
+    EXPECT_THROW((void)s.geometric_failures(p), ContractViolation) << p;
+  }
+  EXPECT_THROW((void)s.geometric_failures(0.0), ContractViolation);
 }
 
 }  // namespace
