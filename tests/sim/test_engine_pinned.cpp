@@ -1,18 +1,22 @@
 // Pinned engine trajectories.  Every built-in strategy × network pair of
 // the quiet-skip battery, at n = 12 and n = 160, plus short n = 1000 runs
-// of the two dense-workload pairs, is folded into one 64-bit digest per
-// (pair, n).  A digest covers the unobserved RunResult and, per round of
-// an observed run, every honest tip, the best honest tip, every
-// RoundActivity field and the round's honest miners.  The constants were
-// recorded from the per-miner engine (one MinerView per honest miner), so
-// any later engine representation must reproduce its trajectories bit for
-// bit — this table is the differential reference, with no second engine
-// kept beside the real one.
+// of the two dense-workload pairs and one n = 12 uniform-jitter cell at
+// Δ = 4096 (delays spread over thousands of distinct calendar buckets),
+// is folded into one 64-bit digest per (pair, n, Δ).  A digest covers the
+// unobserved RunResult and, per round of an observed run, every honest
+// tip, the best honest tip, every RoundActivity field and the round's
+// honest miners.  The constants were recorded from the per-miner engine
+// (one MinerView per honest miner); the Δ = 4096 cell from the view-class
+// engine that still mined one adversary query and drew one delay per
+// recipient at a time.  Any later engine representation must reproduce
+// these trajectories bit for bit — this table is the differential
+// reference, with no second engine kept beside the real one.
 //
 // To re-record after an intended trajectory change, run the test and copy
 // the "got" entries its failures print into kPinned.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -74,15 +78,17 @@ struct Pinned {
   const char* network;
   std::uint32_t miners;
   std::uint64_t digest;
+  std::uint64_t delta = 3;
 };
 
-// Shape of a pinned cell: Δ = 3 and ν = 0.4 as in the quiet-skip battery,
-// with p scaled so honest blocks arrive at a similar per-round rate.
-EngineConfig config_for(std::uint32_t miners) {
+// Shape of a pinned cell: Δ = 3 (unless the cell names another) and
+// ν = 0.4 as in the quiet-skip battery, with p scaled so honest blocks
+// arrive at a similar per-round rate.
+EngineConfig config_for(std::uint32_t miners, std::uint64_t delta) {
   EngineConfig config;
   config.miner_count = miners;
   config.adversary_fraction = 0.4;
-  config.delta = 3;
+  config.delta = delta;
   switch (miners) {
     case 12:
       config.p = 0.04692883195696345;
@@ -97,6 +103,9 @@ EngineConfig config_for(std::uint32_t miners) {
       config.rounds = 200;
       break;
   }
+  // A long-Δ cell runs for a few Δ, so most of its deliveries land
+  // inside the run.
+  config.rounds = std::max<std::uint64_t>(config.rounds, 3 * delta);
   return config;
 }
 
@@ -108,7 +117,7 @@ std::uint64_t trajectory_digest(const Pinned& cell) {
   const auto& registry = scenario::ScenarioRegistry::builtin();
   Digest d;
   for (std::uint32_t s = 0; s < seeds_for(cell.miners); ++s) {
-    EngineConfig config = config_for(cell.miners);
+    EngineConfig config = config_for(cell.miners, cell.delta);
     config.seed = 7100 + s;
     const auto make = [&] {
       return std::make_unique<ExecutionEngine>(
@@ -143,6 +152,7 @@ const Pinned kPinned[] = {
     {"delay-saturate", "eclipse", 160, 0x3231c75132b1046cULL},
     {"private-withhold", "uniform", 1000, 0xe4ec2b92ab3ce861ULL},
     {"fork-balancer", "split", 1000, 0x616ef04e8edeb14bULL},
+    {"private-withhold", "uniform", 12, 0xd2e7c0e12ee40b5eULL, 4096},
 };
 
 class EnginePinned : public ::testing::TestWithParam<Pinned> {};
@@ -151,10 +161,12 @@ TEST_P(EnginePinned, TrajectoryMatchesRecordedDigest) {
   const Pinned cell = GetParam();
   const std::uint64_t got = trajectory_digest(cell);
   if (got != cell.digest) {
-    char line[128];
-    std::snprintf(line, sizeof line, "{\"%s\", \"%s\", %u, 0x%016llxULL}",
+    char line[160];
+    std::snprintf(line, sizeof line,
+                  "{\"%s\", \"%s\", %u, 0x%016llxULL, %llu}",
                   cell.strategy, cell.network, cell.miners,
-                  static_cast<unsigned long long>(got));
+                  static_cast<unsigned long long>(got),
+                  static_cast<unsigned long long>(cell.delta));
     ADD_FAILURE() << "trajectory changed; got " << line;
   }
 }
@@ -165,6 +177,9 @@ INSTANTIATE_TEST_SUITE_P(
       std::string name = std::string(info.param.strategy) + "_" +
                          info.param.network + "_n" +
                          std::to_string(info.param.miners);
+      if (info.param.delta != 3) {
+        name += "_delta" + std::to_string(info.param.delta);
+      }
       for (char& c : name) {
         if (c == '-') c = '_';
       }
