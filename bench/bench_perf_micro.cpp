@@ -1,15 +1,19 @@
 // Performance microbenchmarks (google-benchmark): throughput of the
 // components the experiment harnesses lean on — per-round simulation cost,
 // binomial sampling, suffix-chain solves, frontier inversions, LogProb
-// arithmetic.
+// arithmetic, and the two halves of an honest broadcast (per-broadcast
+// delay draws, calendar scheduling).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "bounds/frontier.hpp"
 #include "chains/convergence.hpp"
 #include "chains/suffix_chain.hpp"
 #include "markov/stationary.hpp"
+#include "net/delivery.hpp"
 #include "sim/aggregate.hpp"
 #include "sim/engine.hpp"
 #include "sim/strategies.hpp"
@@ -117,6 +121,88 @@ void BM_ConvergenceCounting(benchmark::State& state) {
                           static_cast<std::int64_t>(counts.size()));
 }
 BENCHMARK(BM_ConvergenceCounting);
+
+// --- honest broadcast: delays, then calendar scheduling -------------------
+
+constexpr std::uint32_t kBroadcastRecipients = 1000;
+constexpr std::uint64_t kBroadcastRounds = 64;  ///< distinct broadcasts
+
+/// Uniform delays on [1, Δ] for kBroadcastRounds broadcasts by sender 0
+/// (the jitter network of the dense workload), one row per round.
+std::vector<std::vector<std::uint64_t>> broadcast_delays(std::uint64_t delta) {
+  net::CounterUniformDelay schedule(delta, crng::Key{7, 7});
+  std::vector<std::vector<std::uint64_t>> rows(
+      kBroadcastRounds, std::vector<std::uint64_t>(kBroadcastRecipients));
+  for (std::uint64_t r = 0; r < kBroadcastRounds; ++r) {
+    schedule.delays(r + 1, 0, 0, rows[r]);
+  }
+  return rows;
+}
+
+/// One broadcast per iteration, each recipient set per distinct delay
+/// built beforehand: schedule_set once per set, then the round's drain.
+void BM_BroadcastScheduleSet(benchmark::State& state) {
+  const auto delta = static_cast<std::uint64_t>(state.range(0));
+  const auto rows = broadcast_delays(delta);
+  constexpr std::size_t kWords = (kBroadcastRecipients + 63) / 64;
+  // sets[r][d − 1]: the recipients of broadcast r with delay d.
+  std::vector<std::vector<std::vector<std::uint64_t>>> sets(
+      kBroadcastRounds, std::vector<std::vector<std::uint64_t>>(
+                            delta, std::vector<std::uint64_t>(kWords, 0)));
+  for (std::uint64_t r = 0; r < kBroadcastRounds; ++r) {
+    for (std::uint32_t to = 1; to < kBroadcastRecipients; ++to) {
+      sets[r][rows[r][to] - 1][to / 64] |= std::uint64_t{1} << (to % 64);
+    }
+  }
+  net::DeliveryCalendar calendar(kBroadcastRecipients);
+  std::uint64_t round = 0;
+  for (auto _ : state) {
+    ++round;
+    const auto& row = sets[round % kBroadcastRounds];
+    for (std::uint64_t d = 1; d <= delta; ++d) {
+      calendar.schedule_set(round + d, round, row[d - 1]);
+    }
+    calendar.drain_records(round, [](const net::DeliveryRecord& record) {
+      benchmark::DoNotOptimize(record.count);
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * (kBroadcastRecipients - 1));
+}
+BENCHMARK(BM_BroadcastScheduleSet)->Arg(1)->Arg(4)->Arg(64);
+
+/// The same broadcasts, one schedule() per recipient in ascending order.
+void BM_BroadcastSchedulePerRecipient(benchmark::State& state) {
+  const auto delta = static_cast<std::uint64_t>(state.range(0));
+  const auto rows = broadcast_delays(delta);
+  net::DeliveryCalendar calendar(kBroadcastRecipients);
+  std::uint64_t round = 0;
+  for (auto _ : state) {
+    ++round;
+    const auto& row = rows[round % kBroadcastRounds];
+    for (std::uint32_t to = 1; to < kBroadcastRecipients; ++to) {
+      calendar.schedule(round + row[to], to, round);
+    }
+    calendar.drain_records(round, [](const net::DeliveryRecord& record) {
+      benchmark::DoNotOptimize(record.count);
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * (kBroadcastRecipients - 1));
+}
+BENCHMARK(BM_BroadcastSchedulePerRecipient)->Arg(1)->Arg(4)->Arg(64);
+
+/// CounterUniformDelay::delays for one broadcast to n = 1000 (Δ = 4).
+void BM_CounterUniformDelays(benchmark::State& state) {
+  net::CounterUniformDelay schedule(4, crng::Key{7, 7});
+  std::vector<std::uint64_t> out(kBroadcastRecipients);
+  std::uint64_t round = 0;
+  for (auto _ : state) {
+    schedule.delays(++round, 0, 0, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * (kBroadcastRecipients - 1));
+}
+BENCHMARK(BM_CounterUniformDelays);
 
 }  // namespace
 

@@ -16,8 +16,10 @@ DeliveryCalendar::DeliveryCalendar(std::uint32_t recipient_count)
     : recipient_count_(recipient_count),
       words_per_set_((std::size_t{recipient_count} + 63) / 64),
       buckets_(kInitialSpan),
-      members_(words_per_set_, 0) {
+      members_(words_per_set_, 0),
+      all_members_(words_per_set_, 0) {
   NEATBOUND_EXPECTS(recipient_count > 0, "need at least one recipient");
+  set_all_members(all_members_, recipient_count_);
 }
 
 // neatbound-analyze: allow(contract-coverage) — private helper whose
@@ -33,24 +35,34 @@ std::uint64_t* DeliveryCalendar::open_record(Bucket& bucket,
   return bucket.words.data() + bucket.words.size() - words_per_set_;
 }
 
-void DeliveryCalendar::schedule_all(std::uint64_t due_round,
-                                    protocol::BlockIndex block) {
+void DeliveryCalendar::schedule_set(std::uint64_t due_round,
+                                    protocol::BlockIndex block,
+                                    std::span<const std::uint64_t> members) {
+  NEATBOUND_EXPECTS(members.size() == words_per_set_,
+                    "member set must hold one word per 64 recipients");
+  std::size_t first = words_per_set_;
+  std::size_t last = 0;
+  std::uint32_t count = 0;
+  for (std::size_t w = 0; w < words_per_set_; ++w) {
+    if (members[w] == 0) continue;
+    if (first == words_per_set_) first = w;
+    last = w;
+    count += static_cast<std::uint32_t>(std::popcount(members[w]));
+  }
+  if (count == 0) return;
+  const auto lowest = static_cast<std::uint32_t>(
+      first * 64 + std::countr_zero(members[first]));
+  const auto highest = static_cast<std::uint32_t>(
+      last * 64 + 63 - std::countl_zero(members[last]));
+  NEATBOUND_EXPECTS(highest < recipient_count_, "recipient out of range");
   Bucket& bucket = bucket_for(due_round);
-  // Recipient 0 can never extend an existing record, so the first of the
-  // equivalent schedule() calls would open one; the rest extend it.
-  std::uint64_t* words = open_record(bucket, block);
-  set_all_members({words, words_per_set_}, recipient_count_);
+  std::uint64_t* words = record_words_for(bucket, block, lowest);
+  for (std::size_t w = first; w <= last; ++w) words[w] |= members[w];
   Record& record = bucket.records.back();
-  record.highest = recipient_count_ - 1;
-  record.count = recipient_count_;
-  pending_ += recipient_count_;
-  NEATBOUND_COUNT_ADD(kCalendarScheduled, recipient_count_);
-  // The set must cover exactly recipients [0, count): a stray bit past
-  // the last recipient would be expanded into a nonexistent miner.
-  NEATBOUND_INVARIANT(
-      static_cast<std::size_t>(std::popcount(words[words_per_set_ - 1])) ==
-          recipient_count_ - 64 * (words_per_set_ - 1),
-      "schedule_all member set does not match the recipient count");
+  record.highest = highest;
+  record.count += count;
+  pending_ += count;
+  NEATBOUND_COUNT_ADD(kCalendarScheduled, count);
 }
 
 // neatbound-analyze: allow(contract-coverage) — thin cold wrapper: the

@@ -2,7 +2,8 @@
 //
 // A block broadcast at the end of round r reaches recipient i at the start
 // of round r + d, where the delay d is chosen per (message, recipient) by
-// a DeliverySchedule with 1 ≤ d ≤ Δ.  d = 1 is "next round" (the fastest
+// a DeliverySchedule with 1 ≤ d ≤ Δ (one call fills the delays of every
+// recipient of a broadcast).  d = 1 is "next round" (the fastest
 // physically meaningful delivery in the round model); d = Δ saturates the
 // adversary's delaying power.  The adversary may not drop or modify
 // messages — only the delay is under its control — which the queue
@@ -73,8 +74,10 @@ inline void set_all_members(std::span<std::uint64_t> members,
 /// otherwise it opens a new record.  A record is therefore a run of
 /// consecutive schedule() calls for one block with ascending recipients,
 /// and expanding the records in order, each in ascending member order,
-/// replays the schedule() sequence exactly.  A broadcast to n recipients
-/// costs at most one record per distinct delay.
+/// replays the schedule() sequence exactly.  schedule_set() takes a whole
+/// recipient set in one call and leaves exactly the records the
+/// ascending schedule() calls for its members would, so a broadcast to n
+/// recipients costs one call and at most one record per distinct delay.
 ///
 /// Ordering contract: collect_due/drain_due emit strictly ascending due
 /// rounds, FIFO (schedule order) within a round.  drain_records emits the
@@ -91,27 +94,20 @@ inline void set_all_members(std::span<std::uint64_t> members,
 class DeliveryCalendar {
  public:
   /// Hard bound on how far ahead of the drain point a delivery may be
-  /// scheduled.  The engine needs at most 2Δ + 1; 2^20 rounds leaves
-  /// four orders of magnitude of headroom over any simulated Δ.
+  /// scheduled.  The engine needs at most 2Δ + 1, so
+  /// sim::validate_engine_config rejects any Δ above (kMaxSpan − 1) / 2.
   static constexpr std::uint64_t kMaxSpan = std::uint64_t{1} << 20;
 
   explicit DeliveryCalendar(std::uint32_t recipient_count);
 
   /// Schedules `block` to reach `recipient` at `due_round`, which must
   /// lie less than kMaxSpan rounds past the earliest uncollected round.
-  /// Inline: a broadcast calls this once per recipient.
   NEATBOUND_HOT void schedule(std::uint64_t due_round,
                               std::uint32_t recipient,
                               protocol::BlockIndex block) {
     NEATBOUND_EXPECTS(recipient < recipient_count_, "recipient out of range");
     Bucket& bucket = bucket_for(due_round);
-    std::uint64_t* words = nullptr;
-    if (!bucket.records.empty() && bucket.records.back().block == block &&
-        bucket.records.back().highest < recipient) {
-      words = bucket.words.data() + bucket.words.size() - words_per_set_;
-    } else {
-      words = open_record(bucket, block);
-    }
+    std::uint64_t* words = record_words_for(bucket, block, recipient);
     Record& record = bucket.records.back();
     words[recipient / 64] |= std::uint64_t{1} << (recipient % 64);
     record.highest = recipient;
@@ -120,10 +116,23 @@ class DeliveryCalendar {
     NEATBOUND_COUNT(kCalendarScheduled);
   }
 
-  /// Schedules `block` to every recipient at `due_round`: the same as
-  /// schedule() for recipients 0, 1, ..., count−1 in turn, in O(count/64).
+  /// Schedules `block` to every member of the recipient bitset `members`
+  /// (one word per 64 recipients) at `due_round`: the same records,
+  /// pending() and kCalendarScheduled count as schedule() for each member
+  /// in ascending order, in O(count/64).  The set joins the bucket's last
+  /// record when that record carries `block` and the set's lowest member
+  /// is above its highest; otherwise it opens one record.  An empty set
+  /// schedules nothing.
+  NEATBOUND_HOT void schedule_set(std::uint64_t due_round,
+                                  protocol::BlockIndex block,
+                                  std::span<const std::uint64_t> members);
+
+  /// Schedules `block` to every recipient at `due_round`: schedule_set()
+  /// with the full set.
   NEATBOUND_HOT void schedule_all(std::uint64_t due_round,
-                                  protocol::BlockIndex block);
+                                  protocol::BlockIndex block) {
+    schedule_set(due_round, block, all_members_);
+  }
 
   /// Pops everything due at or before `round` for all recipients; the
   /// result is grouped as (recipient, block) pairs in due order (see the
@@ -271,6 +280,17 @@ class DeliveryCalendar {
                         "scheduled round outside the grown ring span");
     return bucket_at(round);
   }
+  /// Member words of the record that recipients from `lowest` up join at
+  /// the end of `bucket`: the last record's when it carries `block` and
+  /// `lowest` is above its highest member, else a newly opened record's.
+  [[nodiscard]] NEATBOUND_HOT std::uint64_t* record_words_for(
+      Bucket& bucket, protocol::BlockIndex block, std::uint32_t lowest) {
+    if (!bucket.records.empty() && bucket.records.back().block == block &&
+        bucket.records.back().highest < lowest) {
+      return bucket.words.data() + bucket.words.size() - words_per_set_;
+    }
+    return open_record(bucket, block);
+  }
   /// Opens a new, empty record for `block` at the end of `bucket`.
   std::uint64_t* open_record(Bucket& bucket, protocol::BlockIndex block);
   /// Re-buckets into a ring spanning at least `span` rounds.
@@ -284,6 +304,8 @@ class DeliveryCalendar {
   std::vector<Bucket> buckets_;
   /// Member words of the record being drained (see drain_records).
   std::vector<std::uint64_t> members_;
+  /// Every recipient, for schedule_all.
+  std::vector<std::uint64_t> all_members_;
 };
 
 /// Chooses per-(message, recipient) delays, within [1, Δ].
@@ -291,12 +313,13 @@ class DeliverySchedule {
  public:
   virtual ~DeliverySchedule() = default;
 
-  /// Delay for `block` broadcast by `sender` at `round`, toward `recipient`.
-  /// Must return a value in [1, max_delay()].
-  [[nodiscard]] virtual std::uint64_t delay(std::uint64_t round,
-                                            std::uint32_t sender,
-                                            std::uint32_t recipient,
-                                            protocol::BlockIndex block) = 0;
+  /// Delays for `block` broadcast by `sender` at `round`: fills out[r],
+  /// in ascending r, for every recipient r ≠ sender (out.size() is the
+  /// recipient count); out[sender] is ignored.  Each value must lie in
+  /// [1, max_delay()].  Called once per broadcast.
+  virtual void delays(std::uint64_t round, std::uint32_t sender,
+                      protocol::BlockIndex block,
+                      std::span<std::uint64_t> out) = 0;
 
   [[nodiscard]] virtual std::uint64_t max_delay() const noexcept = 0;
 };
@@ -307,10 +330,9 @@ class ImmediateDelivery final : public DeliverySchedule {
   explicit ImmediateDelivery(std::uint64_t delta) : delta_(delta) {
     NEATBOUND_EXPECTS(delta >= 1, "delta must be >= 1");
   }
-  [[nodiscard]] std::uint64_t delay(std::uint64_t, std::uint32_t,
-                                    std::uint32_t,
-                                    protocol::BlockIndex) override {
-    return 1;
+  void delays(std::uint64_t, std::uint32_t, protocol::BlockIndex,
+              std::span<std::uint64_t> out) override {
+    std::fill(out.begin(), out.end(), 1);
   }
   [[nodiscard]] std::uint64_t max_delay() const noexcept override {
     return delta_;
@@ -326,10 +348,9 @@ class MaxDelayDelivery final : public DeliverySchedule {
   explicit MaxDelayDelivery(std::uint64_t delta) : delta_(delta) {
     NEATBOUND_EXPECTS(delta >= 1, "delta must be >= 1");
   }
-  [[nodiscard]] std::uint64_t delay(std::uint64_t, std::uint32_t,
-                                    std::uint32_t,
-                                    protocol::BlockIndex) override {
-    return delta_;
+  void delays(std::uint64_t, std::uint32_t, protocol::BlockIndex,
+              std::span<std::uint64_t> out) override {
+    std::fill(out.begin(), out.end(), delta_);
   }
   [[nodiscard]] std::uint64_t max_delay() const noexcept override {
     return delta_;
@@ -351,22 +372,49 @@ class CounterUniformDelay final : public DeliverySchedule {
       : delta_(delta), key_(key) {
     NEATBOUND_EXPECTS(delta >= 1, "delta must be >= 1");
   }
+  /// Recipient r's delay is 1 + crng::Stream(key, round, sender·2³² + r,
+  /// kNetDelay).uniform_below(Δ), drawn here without the Stream: the
+  /// rejection threshold is computed once per broadcast, and r's draws
+  /// are the lanes of its own Philox blocks at slots 0, 1, ... in order.
   // neatbound-analyze: allow(contract-coverage) — pure function of its
   // arguments; the only precondition (Δ ≥ 1) is enforced at construction.
-  [[nodiscard]] std::uint64_t delay(std::uint64_t round, std::uint32_t sender,
-                                    std::uint32_t recipient,
-                                    protocol::BlockIndex) override {
-    if (delta_ == 1) return 1;
-    crng::Stream stream(key_, round,
-                        (static_cast<std::uint64_t>(sender) << 32) | recipient,
-                        crng::Purpose::kNetDelay);
-    return 1 + stream.uniform_below(delta_);
+  void delays(std::uint64_t round, std::uint32_t sender,
+              protocol::BlockIndex,
+              std::span<std::uint64_t> out) override {
+    if (delta_ == 1) {
+      std::fill(out.begin(), out.end(), 1);
+      return;
+    }
+    // Draws below 2^64 mod Δ are rejected, so the final modulo is
+    // unbiased (the same rule as Stream::uniform_below).
+    const std::uint64_t threshold = (0 - delta_) % delta_;
+    const std::uint64_t actor = static_cast<std::uint64_t>(sender) << 32;
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      if (r == sender) continue;
+      out[r] = 1 + draw_below(round, actor | r, threshold);
+    }
   }
   [[nodiscard]] std::uint64_t max_delay() const noexcept override {
     return delta_;
   }
 
  private:
+  /// The first lane at least `threshold`, over the Philox blocks at slots
+  /// 0, 1, ... of (round, actor, kNetDelay), reduced modulo Δ.
+  [[nodiscard]] std::uint64_t draw_below(std::uint64_t round,
+                                         std::uint64_t actor,
+                                         std::uint64_t threshold) const {
+    for (std::uint64_t slot = 0;; ++slot) {
+      const crng::Block block = crng::philox4x64(
+          {round, actor, static_cast<std::uint64_t>(crng::Purpose::kNetDelay),
+           slot},
+          key_);
+      for (const std::uint64_t bits : block) {
+        if (bits >= threshold) return bits % delta_;
+      }
+    }
+  }
+
   std::uint64_t delta_;
   crng::Key key_;
 };
@@ -381,13 +429,14 @@ class SplitDelivery final : public DeliverySchedule {
       : delta_(delta), group_of_(std::move(group_of)) {
     NEATBOUND_EXPECTS(delta >= 1, "delta must be >= 1");
   }
-  [[nodiscard]] std::uint64_t delay(std::uint64_t, std::uint32_t sender,
-                                    std::uint32_t recipient,
-                                    protocol::BlockIndex) override {
+  void delays(std::uint64_t, std::uint32_t sender, protocol::BlockIndex,
+              std::span<std::uint64_t> out) override {
     NEATBOUND_EXPECTS(sender < group_of_.size() &&
-                          recipient < group_of_.size(),
+                          out.size() <= group_of_.size(),
                       "miner id out of range");
-    return group_of_[sender] == group_of_[recipient] ? 1 : delta_;
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      out[r] = group_of_[sender] == group_of_[r] ? 1 : delta_;
+    }
   }
   [[nodiscard]] std::uint64_t max_delay() const noexcept override {
     return delta_;

@@ -21,7 +21,9 @@
 // scenario registry exposes by name.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/delivery.hpp"
@@ -50,10 +52,9 @@ class BurstyDelivery final : public DeliverySchedule {
     return (round + phase_) % period_ < burst_length_;
   }
 
-  [[nodiscard]] std::uint64_t delay(std::uint64_t round, std::uint32_t,
-                                    std::uint32_t,
-                                    protocol::BlockIndex) override {
-    return in_burst(round) ? delta_ : 1;
+  void delays(std::uint64_t round, std::uint32_t, protocol::BlockIndex,
+              std::span<std::uint64_t> out) override {
+    std::fill(out.begin(), out.end(), in_burst(round) ? delta_ : 1);
   }
   [[nodiscard]] std::uint64_t max_delay() const noexcept override {
     return delta_;
@@ -93,10 +94,12 @@ class EclipseDelivery final : public DeliverySchedule {
     return victim_[recipient];
   }
 
-  [[nodiscard]] std::uint64_t delay(std::uint64_t, std::uint32_t,
-                                    std::uint32_t recipient,
-                                    protocol::BlockIndex) override {
-    return is_victim(recipient) ? delta_ : 1;
+  void delays(std::uint64_t, std::uint32_t, protocol::BlockIndex,
+              std::span<std::uint64_t> out) override {
+    NEATBOUND_EXPECTS(out.size() <= victim_.size(), "recipient out of range");
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      out[r] = victim_[r] ? delta_ : 1;
+    }
   }
   [[nodiscard]] std::uint64_t max_delay() const noexcept override {
     return delta_;

@@ -6,7 +6,9 @@
 //     [1, Δ] — it cannot drop or modify honest messages;
 //   ② it fully controls νn corrupted miners: it makes up to νn *sequential*
 //     oracle queries per round, choosing each query's parent block, and
-//     decides when (and to whom first) its blocks are published.
+//     decides when (and to whom first) its blocks are published.  A run
+//     of queries on one parent is one mine_on call, which jumps to the
+//     next success instead of testing each query.
 // One power the adversary does NOT have: permanently hiding a published
 // block from a subset of honest players.  Honest players gossip, so the
 // engine auto-echoes every block to all remaining honest players within Δ
@@ -41,11 +43,13 @@ class AdversaryOps {
 
   // --- mining (capability ②, sequential queries) ---
   [[nodiscard]] virtual std::uint64_t remaining_queries() const = 0;
-  /// Spends one query attempting to extend `parent`.  Returns the new
-  /// (private) block's index on success.  Contract violation if the
-  /// budget is exhausted.
-  virtual std::optional<protocol::BlockIndex> try_mine_on(
-      protocol::BlockIndex parent) = 0;
+  /// Spends up to `max_queries` queries extending `parent` and stops at
+  /// the first success, returning the new (private) block's index; on a
+  /// miss all `max_queries` are spent.  The same as that many one-query
+  /// calls in a row, each on `parent`, stopped at the first success.
+  /// Contract violation unless 1 ≤ max_queries ≤ remaining_queries().
+  virtual std::optional<protocol::BlockIndex> mine_on(
+      protocol::BlockIndex parent, std::uint64_t max_queries) = 0;
 
   // --- publication ---
   /// Sends `block` to one honest recipient with the given delay ∈ [1, Δ].
@@ -65,12 +69,14 @@ class Adversary {
  public:
   virtual ~Adversary() = default;
 
-  /// Delay ∈ [1, Δ] for an honest block broadcast this round (capability
-  /// ①).  Called once per (block, recipient); the engine clamps the result
-  /// into [1, Δ] defensively.
-  [[nodiscard]] virtual std::uint64_t honest_delay(
-      std::uint64_t round, std::uint32_t sender, std::uint32_t recipient,
-      protocol::BlockIndex block) = 0;
+  /// Delays ∈ [1, Δ] for an honest block `sender` broadcast this round
+  /// (capability ①): fills out[r], in ascending r, for every honest
+  /// recipient r ≠ sender (out.size() is the honest count); out[sender]
+  /// is ignored.  Called once per broadcast; the engine clamps every
+  /// delay into [1, Δ] defensively.
+  virtual void honest_delays(std::uint64_t round, std::uint32_t sender,
+                             protocol::BlockIndex block,
+                             std::span<std::uint64_t> out) = 0;
 
   /// Notification that an honest block was mined this round (rushing
   /// adversaries observe it before choosing their own actions).

@@ -35,11 +35,4 @@ void GapCursor::advance_to(std::uint64_t pos) {
   while (next_ < pos) (void)take();
 }
 
-bool GapCursor::contains_take(std::uint64_t pos) {
-  advance_to(pos);
-  if (next_ != pos) return false;
-  (void)take();
-  return true;
-}
-
 }  // namespace neatbound::sim

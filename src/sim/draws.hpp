@@ -39,10 +39,6 @@ class GapCursor {
   /// made — e.g. an adversary spending less than its budget).
   NEATBOUND_HOT void advance_to(std::uint64_t pos);
 
-  /// True iff `pos` is a success; consumes it when so.  `pos` must be
-  /// ≥ every previously tested/taken position.
-  [[nodiscard]] NEATBOUND_HOT bool contains_take(std::uint64_t pos);
-
  private:
   [[nodiscard]] std::uint64_t next_gap();
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <string>
 
 #include "chains/convergence.hpp"
 #include "protocol/mining.hpp"
@@ -48,6 +49,17 @@ void validate_engine_config(const EngineConfig& config) {
   NEATBOUND_EXPECTS(config.p > 0.0 && config.p < 1.0,
                     "mining hardness p must be in (0, 1)");
   NEATBOUND_EXPECTS(config.delta >= 1, "delta must be >= 1");
+  // Message due rounds reach up to 2Δ + 1 rounds past the calendar's
+  // drain point (an adversary release at delay Δ, then its gossip echo Δ
+  // later), and the calendar holds kMaxSpan rounds at most.
+  constexpr std::uint64_t kMaxDelta =
+      (net::DeliveryCalendar::kMaxSpan - 1) / 2;
+  NEATBOUND_EXPECTS(config.delta <= kMaxDelta,
+                    "delta must be <= " + std::to_string(kMaxDelta) +
+                        ": its lookahead 2*delta + 1 must fit the delivery "
+                        "calendar's span of " +
+                        std::to_string(net::DeliveryCalendar::kMaxSpan) +
+                        " rounds");
   NEATBOUND_EXPECTS(config.rounds >= 1, "rounds must be >= 1");
   NEATBOUND_EXPECTS(config.miner_count > corrupted_count(config),
                     "at least one honest miner needed");
@@ -80,16 +92,29 @@ class ExecutionEngine::Ops final : public AdversaryOps {
     return remaining_;
   }
 
-  std::optional<protocol::BlockIndex> try_mine_on(
-      protocol::BlockIndex parent) override {
-    NEATBOUND_EXPECTS(remaining_ > 0, "adversary query budget exhausted");
-    const std::uint64_t query = budget_ - remaining_;  // index within round
-    --remaining_;
-    // Success is decided by the addressable Bernoulli field at flat
-    // position (round−1)·budget + query; block draws are keyed by
-    // (round, query) so they are independent of every other success.
-    const std::uint64_t pos = (round_ - 1) * budget_ + query;
-    if (!engine_.adversary_gaps_.contains_take(pos)) return std::nullopt;
+  std::optional<protocol::BlockIndex> mine_on(
+      protocol::BlockIndex parent, std::uint64_t max_queries) override {
+    NEATBOUND_EXPECTS(max_queries >= 1 && max_queries <= remaining_,
+                      "max_queries must be in [1, remaining queries]: "
+                      "adversary query budget exhausted");
+    // Success is decided by the addressable Bernoulli field: query q of
+    // this round sits at flat position (round−1)·budget + q.  Every query
+    // spent before this call consumed its position, so the cursor's next
+    // success is the first these queries can meet; it either lies among
+    // them or every one of them fails.
+    GapCursor& gaps = engine_.adversary_gaps_;
+    const std::uint64_t base = (round_ - 1) * budget_;
+    const std::uint64_t first = base + (budget_ - remaining_);
+    NEATBOUND_INVARIANT(gaps.peek() >= first,
+                        "adversary success field behind the spent queries");
+    if (gaps.peek() >= first + max_queries) {
+      remaining_ -= max_queries;
+      return std::nullopt;
+    }
+    const std::uint64_t query = gaps.take() - base;  // index within round
+    remaining_ = budget_ - query - 1;
+    // Block draws are keyed by (round, query), so they are independent of
+    // every other success.
     const crng::Block draws = crng::philox4x64(
         {round_, query, purpose_of(crng::Purpose::kAdversaryBlock), 0},
         engine_.key_);
@@ -172,6 +197,16 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
   // At most honest_count_ honest blocks per round, so the per-round miner
   // list never reallocates after this.
   round_miners_.reserve(honest_count_);
+  // Broadcast scratch: a delay per recipient, the delay → slot index
+  // (delays lie in [1, Δ], which validation bounds) and per slot a delay
+  // and a member set, at most kBroadcastSlots of them, so the sets take
+  // O(n) words whatever Δ is.  Reused by every broadcast.
+  const std::size_t slots = static_cast<std::size_t>(std::min<std::uint64_t>(
+      {config_.delta, honest_count_, kBroadcastSlots}));
+  delays_.assign(honest_count_, 0);
+  slot_of_delay_.assign(config_.delta, kNoSlot);
+  slot_delay_.assign(slots, 0);
+  slot_members_.assign(slots * member_words_, 0);
 }
 
 ExecutionEngine::~ExecutionEngine() = default;
@@ -397,18 +432,55 @@ void ExecutionEngine::broadcast_honest(std::uint64_t round,
                                        protocol::BlockIndex block) {
   // Scoped per mined block (rare: n·p per round), not per recipient.
   NEATBOUND_PHASE_SCOPE(kSchedule);
+  adversary_->honest_delays(round, sender, block, delays_);
+  // Collect the recipients of each distinct clamped delay into the member
+  // set of a slot, numbered in order of the delay's first recipient, and
+  // schedule each set with one calendar call.  Distinct delays land in
+  // distinct buckets, so these calls leave exactly the records that one
+  // schedule() per recipient in ascending order would, and taking them in
+  // first-recipient order grows the ring at the same points.  With more
+  // distinct delays than slots, the full slots are scheduled early; a
+  // delay's later set then joins its record.  The loop reads locals, so
+  // its member-word stores cannot force reloads of engine fields.
+  const std::uint64_t delta = config_.delta;
+  const std::size_t words = member_words_;
+  std::uint32_t* const slot_of_delay = slot_of_delay_.data();
+  std::uint64_t* const members = slot_members_.data();
+  std::size_t slots = 0;
   for (std::uint32_t r = 0; r < honest_count_; ++r) {
     if (r == sender) continue;
-    const std::uint64_t d =
-        clamp_delay(adversary_->honest_delay(round, sender, r, block));
-    calendar_.schedule(round + d, r, block);
+    const std::uint64_t d = std::clamp<std::uint64_t>(delays_[r], 1, delta);
+    std::uint32_t slot = slot_of_delay[d - 1];
+    if (slot == kNoSlot) {
+      if (slots == slot_delay_.size()) {
+        schedule_slots(round, block, slots);
+        slots = 0;
+      }
+      slot = static_cast<std::uint32_t>(slots++);
+      slot_of_delay[d - 1] = slot;
+      slot_delay_[slot] = d;
+    }
+    members[slot * words + r / 64] |= std::uint64_t{1} << (r % 64);
   }
+  schedule_slots(round, block, slots);
   // The sender itself received the block at `round`; gossip echo from that
   // first receipt (a no-op here since every recipient is already
   // scheduled within Δ, but it keeps the invariant uniform).
   // neatbound-analyze: allow(hot-alloc) — lazy bitset growth, amortized
   if (echoed_.size() <= block) echoed_.resize(block + 1, false);
   echoed_[block] = true;
+}
+
+void ExecutionEngine::schedule_slots(std::uint64_t round,
+                                     protocol::BlockIndex block,
+                                     std::size_t slots) {
+  for (std::size_t s = 0; s < slots; ++s) {
+    const std::span<std::uint64_t> members(
+        slot_members_.data() + s * member_words_, member_words_);
+    calendar_.schedule_set(round + slot_delay_[s], block, members);
+    std::fill(members.begin(), members.end(), 0);
+    slot_of_delay_[slot_delay_[s] - 1] = kNoSlot;
+  }
 }
 
 void ExecutionEngine::register_honest_block(std::uint64_t round,

@@ -5,10 +5,14 @@
 //      (longest-chain rule);
 //   2. every honest player makes exactly one parallel oracle query on its
 //      current tip; freshly mined blocks are broadcast, with per-recipient
-//      delays chosen by the adversary within [1, Δ];
+//      delays chosen by the adversary within [1, Δ] (one honest_delays
+//      call per broadcast, then one calendar record per distinct delay);
 //   3. the adversary (who observed everything, including this round's
 //      honest blocks — it is rushing) takes its turn: up to νn sequential
-//      queries on parents of its choice, plus publications;
+//      queries on parents of its choice, plus publications.  A run of
+//      queries on one parent (AdversaryOps::mine_on) jumps straight to
+//      the next success of the adversary's Bernoulli field, so a round
+//      costs O(successes), not O(νn);
 //   4. metrics are recorded.
 //
 // Gossip echo: the first time a block reaches *any* honest player (round
@@ -72,10 +76,12 @@ struct EngineConfig {
 
 /// Rejects unusable parameter combinations with a ContractViolation whose
 /// message names the offending field: n < 4 (the paper's condition (3)),
-/// ν ∉ [0, 1/2) (which covers ν ≥ 1), p ∉ (0, 1), Δ = 0, T = 0, or a
-/// corrupted count that leaves no honest miner.  Called by the engine
-/// constructor; exposed so config-producing layers (CLI, scenario files)
-/// can fail fast before spawning runs.
+/// ν ∉ [0, 1/2) (which covers ν ≥ 1), p ∉ (0, 1), Δ = 0, a Δ whose
+/// worst-case delivery lookahead 2Δ + 1 exceeds
+/// net::DeliveryCalendar::kMaxSpan, T = 0, or a corrupted count that
+/// leaves no honest miner.  Called by the engine constructor; exposed so
+/// config-producing layers (CLI, scenario files) can fail fast before
+/// spawning runs.
 void validate_engine_config(const EngineConfig& config);
 
 /// Event counts of the most recent round, maintained unconditionally
@@ -204,6 +210,13 @@ class ExecutionEngine {
   NEATBOUND_HOT void broadcast_honest(std::uint64_t round,
                                       std::uint32_t sender,
                                       protocol::BlockIndex block);
+  /// Schedules the first `slots` broadcast slots (each one delay and its
+  /// recipients) with one calendar call each, then empties them.  Every
+  /// member of a later set for the same delay is above this set's
+  /// members, so that set joins the record this call leaves.
+  NEATBOUND_HOT void schedule_slots(std::uint64_t round,
+                                    protocol::BlockIndex block,
+                                    std::size_t slots);
   /// First-honest-receipt gossip echo (see file comment).
   NEATBOUND_HOT void schedule_echo(std::uint64_t first_receipt_round,
                                    protocol::BlockIndex block);
@@ -296,6 +309,16 @@ class ExecutionEngine {
   std::uint64_t best_height_ = 0;
   std::uint32_t best_view_ = 0;
   std::vector<bool> echoed_;  ///< per block: gossip echo already scheduled
+  // Broadcast scratch, sized in the constructor (see broadcast_honest):
+  // the adversary's delay per honest recipient; the slot of each delay
+  // d ∈ [1, Δ] at index d − 1 (kNoSlot outside a broadcast); and per slot
+  // its delay and its member set (member_words_ words each).
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  static constexpr std::uint64_t kBroadcastSlots = 64;
+  std::vector<std::uint64_t> delays_;
+  std::vector<std::uint32_t> slot_of_delay_;
+  std::vector<std::uint64_t> slot_delay_;
+  std::vector<std::uint64_t> slot_members_;
   /// Reset at the top of every round; read only by observers/tracers —
   /// no simulation decision ever consults these.
   RoundActivity round_activity_;

@@ -15,11 +15,11 @@ ScheduleAdversary::ScheduleAdversary(
   name_ = model_name + "+" + strategy_->name();
 }
 
-std::uint64_t ScheduleAdversary::honest_delay(std::uint64_t round,
-                                              std::uint32_t sender,
-                                              std::uint32_t recipient,
-                                              protocol::BlockIndex block) {
-  return schedule_->delay(round, sender, recipient, block);
+void ScheduleAdversary::honest_delays(std::uint64_t round,
+                                      std::uint32_t sender,
+                                      protocol::BlockIndex block,
+                                      std::span<std::uint64_t> out) {
+  schedule_->delays(round, sender, block, out);
 }
 
 void ScheduleAdversary::on_honest_block(std::uint64_t round,

@@ -14,7 +14,7 @@ void MaxDelayAdversary::act(AdversaryOps& ops) {
   // Mine with the full budget but never publish: A(t₀, t₀+T−1) is counted
   // while honest mining patterns stay untouched.
   while (ops.remaining_queries() > 0) {
-    if (const auto mined = ops.try_mine_on(private_tip_)) {
+    if (const auto mined = ops.mine_on(private_tip_, ops.remaining_queries())) {
       private_tip_ = *mined;
     }
   }
@@ -30,12 +30,11 @@ PrivateWithholdAdversary::PrivateWithholdAdversary()
 PrivateWithholdAdversary::PrivateWithholdAdversary(Options options)
     : options_(options) {}
 
-std::uint64_t PrivateWithholdAdversary::honest_delay(std::uint64_t,
-                                                     std::uint32_t,
-                                                     std::uint32_t,
-                                                     protocol::BlockIndex) {
+void PrivateWithholdAdversary::honest_delays(std::uint64_t, std::uint32_t,
+                                             protocol::BlockIndex,
+                                             std::span<std::uint64_t> out) {
   // Slow the honest network as much as the model allows.
-  return ~0ULL;  // clamped to Δ by the engine
+  std::fill(out.begin(), out.end(), ~0ULL);  // clamped to Δ by the engine
 }
 
 void PrivateWithholdAdversary::act(AdversaryOps& ops) {
@@ -58,7 +57,7 @@ void PrivateWithholdAdversary::act(AdversaryOps& ops) {
 
   // Spend the whole budget extending the private fork.
   while (ops.remaining_queries() > 0) {
-    if (const auto mined = ops.try_mine_on(private_tip_)) {
+    if (const auto mined = ops.mine_on(private_tip_, ops.remaining_queries())) {
       private_tip_ = *mined;
       // neatbound-analyze: allow(hot-alloc) — one amortized append per
       // adversary block mined (≤ νn·p per round), not per query.
@@ -144,15 +143,14 @@ BalanceAttackAdversary::BalanceAttackAdversary(std::uint32_t honest_count,
                                                std::uint64_t delta)
     : partition_(honest_count), delta_(delta) {}
 
-std::uint64_t BalanceAttackAdversary::honest_delay(std::uint64_t,
-                                                   std::uint32_t,
-                                                   std::uint32_t,
-                                                   protocol::BlockIndex) {
+void BalanceAttackAdversary::honest_delays(std::uint64_t, std::uint32_t,
+                                           protocol::BlockIndex,
+                                           std::span<std::uint64_t> out) {
   // Remark 8.5 of PSS: delay EVERY honest message the full Δ.  Each side
   // then lags Δ rounds behind even its own chain's growth, which is the
   // slack window in which the adversary matches the other side's blocks
   // (the 1/ν − 1/μ ≤ 1/c accounting).
-  return delta_;
+  std::fill(out.begin(), out.end(), delta_);
 }
 
 void BalanceAttackAdversary::sync_state(const AdversaryOps& ops) {
@@ -171,6 +169,10 @@ void BalanceAttackAdversary::act(AdversaryOps& ops) {
   const protocol::BlockStore& store = ops.store();
   sync_state(ops);
 
+  // A failed query changes nothing here: every parent below is a pure
+  // function of state that only a success moves, and the repair-publish
+  // check can only turn true after a success (branch_[0]'s height never
+  // falls), so each mine_on spends the rest of the budget on one parent.
   while (ops.remaining_queries() > 0) {
     if (branch_[0] == branch_[1]) {
       // Collapsed: bootstrap a fresh split.  Build a private fork from
@@ -180,7 +182,7 @@ void BalanceAttackAdversary::act(AdversaryOps& ops) {
       const protocol::BlockIndex main = branch_[0];
       const protocol::BlockIndex parent =
           repair_.empty() ? store.parent_of(main) : repair_.back();
-      if (const auto mined = ops.try_mine_on(parent)) {
+      if (const auto mined = ops.mine_on(parent, ops.remaining_queries())) {
         // neatbound-analyze: allow(hot-alloc) — one amortized append per
         // adversary block mined (≤ νn·p per round), not per query.
         repair_.push_back(*mined);
@@ -199,7 +201,8 @@ void BalanceAttackAdversary::act(AdversaryOps& ops) {
       const std::uint64_t h0 = store.height_of(branch_[0]);
       const std::uint64_t h1 = store.height_of(branch_[1]);
       const std::uint8_t lagging = h0 <= h1 ? 0 : 1;
-      if (const auto mined = ops.try_mine_on(branch_[lagging])) {
+      if (const auto mined =
+              ops.mine_on(branch_[lagging], ops.remaining_queries())) {
         partition_.publish_to_group(ops, *mined, lagging);
         branch_[lagging] = *mined;
       }
@@ -279,7 +282,7 @@ void SelfishMiningAdversary::act(AdversaryOps& ops) {
   honest_block_this_round_ = false;
 
   while (ops.remaining_queries() > 0) {
-    if (const auto mined = ops.try_mine_on(private_tip_)) {
+    if (const auto mined = ops.mine_on(private_tip_, ops.remaining_queries())) {
       private_tip_ = *mined;
       // neatbound-analyze: allow(hot-alloc) — one amortized append per
       // adversary block mined (≤ νn·p per round), not per query.
@@ -296,26 +299,29 @@ ForkBalancerAdversary::ForkBalancerAdversary(std::uint32_t honest_count,
                                              std::uint64_t delta)
     : partition_(honest_count), delta_(delta) {}
 
-std::uint64_t ForkBalancerAdversary::honest_delay(std::uint64_t,
-                                                  std::uint32_t sender,
-                                                  std::uint32_t recipient,
-                                                  protocol::BlockIndex) {
+void ForkBalancerAdversary::honest_delays(std::uint64_t,
+                                          std::uint32_t sender,
+                                          protocol::BlockIndex,
+                                          std::span<std::uint64_t> out) {
   // Keep the halves Δ apart but let each half hear itself fast — the
   // equivocating siblings only split the network if each side adopts its
-  // own child before the other side's propagates.
-  if (sender >= partition_.honest_count() ||
-      recipient >= partition_.honest_count()) {
-    return delta_;
+  // own child before the other side's propagates.  Ids outside the
+  // partition always wait the full Δ.
+  const std::uint32_t count = partition_.honest_count();
+  for (std::uint32_t r = 0; r < out.size(); ++r) {
+    out[r] = sender < count && r < count &&
+                     partition_.group_of(sender) == partition_.group_of(r)
+                 ? 1
+                 : delta_;
   }
-  return partition_.group_of(sender) == partition_.group_of(recipient)
-             ? 1
-             : delta_;
 }
 
 void ForkBalancerAdversary::act(AdversaryOps& ops) {
   const protocol::BlockStore& store = ops.store();
   partition_.sync_branches(ops, branch_, reset_margin_);
 
+  // As in BalanceAttackAdversary::act, a failed query changes nothing, so
+  // each mine_on spends the rest of the budget on one parent.
   while (ops.remaining_queries() > 0) {
     if (branch_[0] == branch_[1]) {
       // Collapsed: build an equivocating sibling pair on the common tip.
@@ -328,7 +334,7 @@ void ForkBalancerAdversary::act(AdversaryOps& ops) {
         // never split at the front any more.
         pending_valid_ = false;
       }
-      if (const auto mined = ops.try_mine_on(parent)) {
+      if (const auto mined = ops.mine_on(parent, ops.remaining_queries())) {
         if (!pending_valid_) {
           pending_child_ = *mined;
           pending_parent_ = parent;
@@ -348,7 +354,8 @@ void ForkBalancerAdversary::act(AdversaryOps& ops) {
       const std::uint64_t h0 = store.height_of(branch_[0]);
       const std::uint64_t h1 = store.height_of(branch_[1]);
       const std::uint8_t lagging = h0 <= h1 ? 0 : 1;
-      if (const auto mined = ops.try_mine_on(branch_[lagging])) {
+      if (const auto mined =
+              ops.mine_on(branch_[lagging], ops.remaining_queries())) {
         partition_.publish_to_group(ops, *mined, lagging);
         branch_[lagging] = *mined;
       }
@@ -382,7 +389,7 @@ void DelaySaturatingWithholder::act(AdversaryOps& ops) {
   }
 
   while (ops.remaining_queries() > 0) {
-    if (const auto mined = ops.try_mine_on(private_tip_)) {
+    if (const auto mined = ops.mine_on(private_tip_, ops.remaining_queries())) {
       private_tip_ = *mined;
       // neatbound-analyze: allow(hot-alloc) — one amortized append per
       // adversary block mined (≤ νn·p per round), not per query.

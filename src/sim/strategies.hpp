@@ -34,9 +34,11 @@
 //                          persistent lead.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/adversary.hpp"
@@ -45,10 +47,9 @@ namespace neatbound::sim {
 
 class NullAdversary final : public Adversary {
  public:
-  [[nodiscard]] std::uint64_t honest_delay(std::uint64_t, std::uint32_t,
-                                           std::uint32_t,
-                                           protocol::BlockIndex) override {
-    return 1;
+  void honest_delays(std::uint64_t, std::uint32_t, protocol::BlockIndex,
+                     std::span<std::uint64_t> out) override {
+    std::fill(out.begin(), out.end(), 1);
   }
   void act(AdversaryOps&) override {}
   [[nodiscard]] bool quiet_act_is_noop() const override { return true; }
@@ -58,10 +59,9 @@ class NullAdversary final : public Adversary {
 class MaxDelayAdversary final : public Adversary {
  public:
   explicit MaxDelayAdversary(std::uint64_t delta) : delta_(delta) {}
-  [[nodiscard]] std::uint64_t honest_delay(std::uint64_t, std::uint32_t,
-                                           std::uint32_t,
-                                           protocol::BlockIndex) override {
-    return delta_;
+  void honest_delays(std::uint64_t, std::uint32_t, protocol::BlockIndex,
+                     std::span<std::uint64_t> out) override {
+    std::fill(out.begin(), out.end(), delta_);
   }
   void act(AdversaryOps& ops) override;
   /// Quiet rounds only attempt (failing) private-tip queries.
@@ -82,9 +82,8 @@ class PrivateWithholdAdversary final : public Adversary {
   PrivateWithholdAdversary();
   explicit PrivateWithholdAdversary(Options options);
 
-  [[nodiscard]] std::uint64_t honest_delay(std::uint64_t, std::uint32_t,
-                                           std::uint32_t,
-                                           protocol::BlockIndex) override;
+  void honest_delays(std::uint64_t, std::uint32_t, protocol::BlockIndex,
+                     std::span<std::uint64_t> out) override;
   void act(AdversaryOps& ops) override;
   /// Give-up and release decisions depend only on (best height, private
   /// height, withheld stock), all unchanged in a quiet round, and both
@@ -146,10 +145,9 @@ class BalanceAttackAdversary final : public Adversary {
   explicit BalanceAttackAdversary(std::uint32_t honest_count,
                                   std::uint64_t delta);
 
-  [[nodiscard]] std::uint64_t honest_delay(std::uint64_t round,
-                                           std::uint32_t sender,
-                                           std::uint32_t recipient,
-                                           protocol::BlockIndex block) override;
+  void honest_delays(std::uint64_t round, std::uint32_t sender,
+                     protocol::BlockIndex block,
+                     std::span<std::uint64_t> out) override;
   void act(AdversaryOps& ops) override;
   /// sync_state is idempotent under unchanged tips, and publication only
   /// follows a successful query or a repair fork already released by the
@@ -187,10 +185,10 @@ class SelfishMiningAdversary final : public Adversary {
   /// triggered.  The attacker's revenue advantage grows with γ.
   explicit SelfishMiningAdversary(double gamma = 0.5);
 
-  [[nodiscard]] std::uint64_t honest_delay(std::uint64_t, std::uint32_t,
-                                           std::uint32_t,
-                                           protocol::BlockIndex) override {
-    return 1;  // selfish mining is usually analyzed on a fast network
+  void honest_delays(std::uint64_t, std::uint32_t, protocol::BlockIndex,
+                     std::span<std::uint64_t> out) override {
+    // Selfish mining is usually analyzed on a fast network.
+    std::fill(out.begin(), out.end(), 1);
   }
   void on_honest_block(std::uint64_t round,
                        protocol::BlockIndex block) override;
@@ -216,10 +214,9 @@ class ForkBalancerAdversary final : public Adversary {
   /// rest), exactly like BalanceAttackAdversary's partition.
   ForkBalancerAdversary(std::uint32_t honest_count, std::uint64_t delta);
 
-  [[nodiscard]] std::uint64_t honest_delay(std::uint64_t round,
-                                           std::uint32_t sender,
-                                           std::uint32_t recipient,
-                                           protocol::BlockIndex block) override;
+  void honest_delays(std::uint64_t round, std::uint32_t sender,
+                     protocol::BlockIndex block,
+                     std::span<std::uint64_t> out) override;
   void act(AdversaryOps& ops) override;
   /// Equivocation pairs advance only on successful queries; branch sync
   /// and pending-pair invalidation are idempotent under unchanged tips.
@@ -258,10 +255,9 @@ class DelaySaturatingWithholder final : public Adversary {
   DelaySaturatingWithholder();
   explicit DelaySaturatingWithholder(Options options);
 
-  [[nodiscard]] std::uint64_t honest_delay(std::uint64_t, std::uint32_t,
-                                           std::uint32_t,
-                                           protocol::BlockIndex) override {
-    return ~0ULL;  // saturate: clamped to Δ by the engine
+  void honest_delays(std::uint64_t, std::uint32_t, protocol::BlockIndex,
+                     std::span<std::uint64_t> out) override {
+    std::fill(out.begin(), out.end(), ~0ULL);  // saturate: clamped to Δ
   }
   void act(AdversaryOps& ops) override;
   /// The rebase check is idempotent and the overtake release already

@@ -7,6 +7,7 @@
 
 #include "support/contracts.hpp"
 #include "support/crng.hpp"
+#include "support/telemetry.hpp"
 
 namespace neatbound::net {
 namespace {
@@ -194,6 +195,134 @@ TEST(DeliveryCalendar, ScheduleAllEqualsOneCallPerRecipient) {
   EXPECT_EQ(a[1].count, kRecipients);
 }
 
+/// A recipient bitset of `recipients` bits holding exactly `members`.
+std::vector<std::uint64_t> member_set(
+    std::uint32_t recipients, const std::vector<std::uint32_t>& members) {
+  std::vector<std::uint64_t> words((recipients + 63) / 64, 0);
+  for (const std::uint32_t m : members) {
+    words[m / 64] |= std::uint64_t{1} << (m % 64);
+  }
+  return words;
+}
+
+/// Schedules `members` of `block` at `due` into `by_set` with one
+/// schedule_set call and into `by_member` with ascending schedule() calls.
+void schedule_both(DeliveryCalendar& by_set, DeliveryCalendar& by_member,
+                   std::uint32_t recipients, std::uint64_t due,
+                   protocol::BlockIndex block,
+                   const std::vector<std::uint32_t>& members) {
+  by_set.schedule_set(due, block, member_set(recipients, members));
+  for (const std::uint32_t m : members) by_member.schedule(due, m, block);
+}
+
+void expect_same_records(const std::vector<DrainedRecord>& a,
+                         const std::vector<DrainedRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].due_round, b[i].due_round) << "record " << i;
+    EXPECT_EQ(a[i].block, b[i].block) << "record " << i;
+    EXPECT_EQ(a[i].count, b[i].count) << "record " << i;
+    EXPECT_EQ(a[i].members, b[i].members) << "record " << i;
+  }
+}
+
+// schedule_set leaves exactly the records and pending() that schedule()
+// for each member in ascending order leaves, in every way a set can meet
+// the bucket's last record.
+TEST(DeliveryCalendar, ScheduleSetEqualsAscendingScheduleCalls) {
+  constexpr std::uint32_t kRecipients = 130;
+  DeliveryCalendar by_set(kRecipients);
+  DeliveryCalendar by_member(kRecipients);
+  const auto both = [&](std::uint64_t due, protocol::BlockIndex block,
+                        const std::vector<std::uint32_t>& members) {
+    schedule_both(by_set, by_member, kRecipients, due, block, members);
+    EXPECT_EQ(by_set.pending(), by_member.pending());
+  };
+  // Joins the last record of the same block: the set's lowest member is
+  // above the record's highest (and spans a word boundary).
+  both(3, 5, {0, 2});
+  both(3, 5, {4, 64, 129});
+  // Another block opens a record.
+  both(3, 6, {1, 3});
+  // The same block again, but the set's lowest member is not above the
+  // record's highest: a new record, even though 70 is above it.
+  both(3, 6, {3, 70});
+  both(3, 6, {2});
+  // An empty set schedules nothing.
+  both(3, 6, {});
+  // Other rounds, including one past the initial ring span.
+  both(4, 5, {7});
+  both(40, 8, {0, 127});
+  expect_same_records(drain_all_records(by_set, 3),
+                      drain_all_records(by_member, 3));
+  // Due at or before the drain point: clamped into the next collectable
+  // round, joining what is already there exactly as schedule() does.
+  both(2, 5, {8, 9});
+  both(4, 5, {10});
+  expect_same_records(drain_all_records(by_set, 40),
+                      drain_all_records(by_member, 40));
+  EXPECT_EQ(by_set.pending(), 0u);
+  EXPECT_EQ(by_member.pending(), 0u);
+}
+
+// The same-round case: a set of the block being drained, scheduled from
+// its own callback, opens a record the same drain delivers — as the
+// per-recipient calls do (the consumed record is closed first).
+TEST(DeliveryCalendar, ScheduleSetFromDrainCallbackMatchesScheduleCalls) {
+  constexpr std::uint32_t kRecipients = 10;
+  DeliveryCalendar by_set(kRecipients);
+  DeliveryCalendar by_member(kRecipients);
+  schedule_both(by_set, by_member, kRecipients, 2, 7, {3});
+  const auto drain = [&](DeliveryCalendar& calendar, bool as_set) {
+    std::vector<DrainedRecord> seen;
+    calendar.drain_records(2, [&](const DeliveryRecord& r) {
+      if (seen.empty()) {
+        if (as_set) {
+          calendar.schedule_set(2, 7, member_set(kRecipients, {5, 9}));
+        } else {
+          calendar.schedule(2, 5, 7);
+          calendar.schedule(2, 9, 7);
+        }
+      }
+      DrainedRecord d{r.due_round, r.block, r.count, {}};
+      for_each_member(r.members,
+                      [&d](std::uint32_t m) { d.members.push_back(m); });
+      seen.push_back(d);
+    });
+    return seen;
+  };
+  const std::vector<DrainedRecord> a = drain(by_set, true);
+  const std::vector<DrainedRecord> b = drain(by_member, false);
+  expect_same_records(a, b);
+  ASSERT_EQ(a.size(), 2u);
+  EXPECT_EQ(a[1].members, (std::vector<std::uint32_t>{5, 9}));
+  EXPECT_EQ(by_set.pending(), 0u);
+  EXPECT_EQ(by_member.pending(), 0u);
+}
+
+// kCalendarScheduled counts scheduled deliveries per member, whichever
+// entry point scheduled them.
+TEST(DeliveryCalendar, ScheduleSetCountsEveryMember) {
+  if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
+  constexpr auto kScheduled = static_cast<std::size_t>(
+      telemetry::Counter::kCalendarScheduled);
+  DeliveryCalendar calendar(70);
+  telemetry::reset();
+  calendar.schedule_set(3, 1, member_set(70, {0, 5, 69}));
+  calendar.schedule(3, 6, 2);
+  calendar.schedule_all(4, 3);
+  EXPECT_EQ(telemetry::snapshot().counters[kScheduled], 3u + 1u + 70u);
+}
+
+TEST(DeliveryCalendar, ScheduleSetRejectsMalformedSets) {
+  DeliveryCalendar calendar(70);
+  EXPECT_THROW(calendar.schedule_set(3, 1, member_set(64, {1})),
+               ContractViolation);  // one word, two needed
+  EXPECT_THROW(calendar.schedule_set(3, 1, member_set(128, {70})),
+               ContractViolation);  // member past the last recipient
+  EXPECT_EQ(calendar.pending(), 0u);
+}
+
 // A callback may schedule into the round being drained; the record it is
 // reading stays intact and the new delivery is drained in the same call.
 TEST(DeliveryCalendar, DrainRecordsToleratesSameRoundScheduling) {
@@ -271,22 +400,36 @@ TEST(DeliveryCalendar, RejectsFarFutureSchedule) {
   EXPECT_EQ(calendar.pending(), 1u);
 }
 
+/// The delays `schedule` gives a broadcast by `sender` to `recipients`
+/// miners, with the sender's own (ignored) entry left at 0.
+std::vector<std::uint64_t> delays_of(DeliverySchedule& schedule,
+                                     std::uint64_t round,
+                                     std::uint32_t recipients,
+                                     std::uint32_t sender) {
+  std::vector<std::uint64_t> out(recipients, 0);
+  schedule.delays(round, sender, 0, out);
+  out[sender] = 0;
+  return out;
+}
+
 TEST(Schedules, ImmediateAlwaysOne) {
   ImmediateDelivery schedule(8);
-  EXPECT_EQ(schedule.delay(0, 0, 1, 0), 1u);
+  EXPECT_EQ(delays_of(schedule, 0, 3, 0),
+            (std::vector<std::uint64_t>{0, 1, 1}));
   EXPECT_EQ(schedule.max_delay(), 8u);
 }
 
 TEST(Schedules, MaxDelayAlwaysDelta) {
   MaxDelayDelivery schedule(8);
-  EXPECT_EQ(schedule.delay(0, 0, 1, 0), 8u);
+  EXPECT_EQ(delays_of(schedule, 0, 3, 2),
+            (std::vector<std::uint64_t>{8, 8, 0}));
 }
 
 TEST(Schedules, UniformWithinBounds) {
   CounterUniformDelay schedule(5, crng::Key{1, 1});
   bool saw_low = false, saw_high = false;
   for (std::uint64_t round = 1; round <= 2000; ++round) {
-    const std::uint64_t d = schedule.delay(round, 0, 1, 0);
+    const std::uint64_t d = delays_of(schedule, round, 2, 0)[1];
     ASSERT_GE(d, 1u);
     ASSERT_LE(d, 5u);
     saw_low |= (d == 1);
@@ -296,18 +439,47 @@ TEST(Schedules, UniformWithinBounds) {
   EXPECT_TRUE(saw_high);
 }
 
+// Recipient r's delay is the uniform_below draw of its own Stream at
+// (round, sender·2^32 + r, kNetDelay), whatever Δ.  Δ = 2^63 + 1 rejects
+// almost half of all draws, so runs of rejected lanes cross into later
+// Philox blocks.
+TEST(Schedules, UniformMatchesOneStreamPerRecipient) {
+  const crng::Key key{0x1234, 99};
+  for (const std::uint64_t delta :
+       {std::uint64_t{2}, std::uint64_t{4}, std::uint64_t{1000},
+        (std::uint64_t{1} << 63) + 1}) {
+    CounterUniformDelay schedule(delta, key);
+    for (std::uint64_t round = 1; round <= 40; ++round) {
+      const std::uint32_t sender = static_cast<std::uint32_t>(round % 7);
+      const std::vector<std::uint64_t> got =
+          delays_of(schedule, round, 70, sender);
+      for (std::uint32_t r = 0; r < 70; ++r) {
+        if (r == sender) continue;
+        crng::Stream stream(key, round,
+                            (std::uint64_t{sender} << 32) | r,
+                            crng::Purpose::kNetDelay);
+        ASSERT_EQ(got[r], 1 + stream.uniform_below(delta))
+            << "delta " << delta << " round " << round << " recipient " << r;
+      }
+    }
+  }
+}
+
 TEST(Schedules, SplitKeepsGroupsApart) {
   // Miners 0,1 in group 0; miners 2,3 in group 1.
   SplitDelivery schedule(6, {0, 0, 1, 1});
-  EXPECT_EQ(schedule.delay(0, 0, 1, 0), 1u);  // same group
-  EXPECT_EQ(schedule.delay(0, 2, 3, 0), 1u);
-  EXPECT_EQ(schedule.delay(0, 0, 2, 0), 6u);  // cross group
-  EXPECT_EQ(schedule.delay(0, 3, 1, 0), 6u);
+  EXPECT_EQ(delays_of(schedule, 0, 4, 0),
+            (std::vector<std::uint64_t>{0, 1, 6, 6}));
+  EXPECT_EQ(delays_of(schedule, 0, 4, 3),
+            (std::vector<std::uint64_t>{6, 6, 1, 0}));
 }
 
 TEST(Schedules, SplitChecksIds) {
   SplitDelivery schedule(6, {0, 1});
-  EXPECT_THROW((void)schedule.delay(0, 0, 5, 0), ContractViolation);
+  std::vector<std::uint64_t> out(6, 0);
+  EXPECT_THROW(schedule.delays(0, 0, 0, out), ContractViolation);
+  out.resize(2);
+  EXPECT_THROW(schedule.delays(0, 5, 0, out), ContractViolation);
 }
 
 TEST(Schedules, DeltaValidation) {

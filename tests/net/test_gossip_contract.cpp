@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -21,13 +22,15 @@ namespace {
 /// The gossip echo is the only mechanism spreading the leaked blocks.
 class SingleVictimAdversary final : public Adversary {
  public:
-  std::uint64_t honest_delay(std::uint64_t, std::uint32_t, std::uint32_t,
-                             protocol::BlockIndex) override {
-    return 1000000;  // far out of range; engine must clamp to Δ
+  void honest_delays(std::uint64_t, std::uint32_t, protocol::BlockIndex,
+                     std::span<std::uint64_t> out) override {
+    // Far out of range; the engine must clamp to Δ.
+    std::fill(out.begin(), out.end(), 1000000);
   }
   void act(AdversaryOps& ops) override {
+    // One query at a time: the leak follows each block as it is mined.
     while (ops.remaining_queries() > 0) {
-      if (const auto mined = ops.try_mine_on(tip_)) {
+      if (const auto mined = ops.mine_on(tip_, 1)) {
         tip_ = *mined;
         ops.publish_to(0, *mined, 1);
       }
@@ -82,9 +85,9 @@ TEST(GossipEcho, DeltaBoundsHonestHeightDivergence) {
 class FixedReplyDelay final : public Adversary {
  public:
   explicit FixedReplyDelay(std::uint64_t reply) : reply_(reply) {}
-  std::uint64_t honest_delay(std::uint64_t, std::uint32_t, std::uint32_t,
-                             protocol::BlockIndex) override {
-    return reply_;
+  void honest_delays(std::uint64_t, std::uint32_t, protocol::BlockIndex,
+                     std::span<std::uint64_t> out) override {
+    std::fill(out.begin(), out.end(), reply_);
   }
   void act(AdversaryOps&) override {}
   const char* name() const override { return "fixed-reply"; }

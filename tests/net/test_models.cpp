@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "support/contracts.hpp"
 #include "support/crng.hpp"
 
@@ -16,8 +18,10 @@ TEST(BurstyDelivery, AlternatesCalmAndBurstWindows) {
   for (std::uint64_t round = 0; round < 24; ++round) {
     const bool burst = round % 6 < 2;
     EXPECT_EQ(schedule.in_burst(round), burst) << "round " << round;
-    EXPECT_EQ(schedule.delay(round, 0, 1, 0), burst ? 5u : 1u)
-        << "round " << round;
+    std::vector<std::uint64_t> out(3, 0);
+    schedule.delays(round, 0, 0, out);
+    EXPECT_EQ(out[1], burst ? 5u : 1u) << "round " << round;
+    EXPECT_EQ(out[2], out[1]) << "round " << round;
   }
   EXPECT_EQ(schedule.max_delay(), 5u);
 }
@@ -36,7 +40,9 @@ TEST(BurstyDelivery, SaturatedBurstEqualsMaxDelay) {
   // burst_length == period: permanently congested.
   BurstyDelivery schedule(4, 3, 3);
   for (std::uint64_t round = 0; round < 9; ++round) {
-    EXPECT_EQ(schedule.delay(round, 0, 1, 0), 4u);
+    std::vector<std::uint64_t> out(2, 0);
+    schedule.delays(round, 0, 0, out);
+    EXPECT_EQ(out[1], 4u);
   }
 }
 
@@ -53,10 +59,15 @@ TEST(EclipseDelivery, VictimsWaitTheFullDelta) {
     EXPECT_EQ(schedule.is_victim(recipient), victim);
   }
   EclipseDelivery mutable_schedule = schedule;
-  EXPECT_EQ(mutable_schedule.delay(0, 3, 0, 0), 7u);
-  EXPECT_EQ(mutable_schedule.delay(0, 3, 1, 0), 7u);
-  EXPECT_EQ(mutable_schedule.delay(0, 0, 3, 0), 1u);
-  EXPECT_EQ(mutable_schedule.delay(9, 1, 5, 0), 1u);
+  std::vector<std::uint64_t> out(6, 0);
+  mutable_schedule.delays(0, 3, 0, out);
+  EXPECT_EQ(out[0], 7u);
+  EXPECT_EQ(out[1], 7u);
+  EXPECT_EQ(out[4], 1u);
+  mutable_schedule.delays(9, 0, 0, out);
+  EXPECT_EQ(out[1], 7u);
+  EXPECT_EQ(out[3], 1u);
+  EXPECT_EQ(out[5], 1u);
 }
 
 TEST(EclipseDelivery, Validation) {
@@ -64,7 +75,8 @@ TEST(EclipseDelivery, Validation) {
   EXPECT_THROW(EclipseDelivery(3, {}), ContractViolation);
   EXPECT_THROW(EclipseDelivery::first_k(3, 2, 5), ContractViolation);
   EclipseDelivery schedule(3, {true, false});
-  EXPECT_THROW((void)schedule.delay(0, 0, 7, 0), ContractViolation);
+  std::vector<std::uint64_t> out(8, 0);  // recipient 7 has no entry
+  EXPECT_THROW(schedule.delays(0, 0, 0, out), ContractViolation);
 }
 
 // --- DeliveryCalendar::collect_due determinism --------------------------------

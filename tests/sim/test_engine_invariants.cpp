@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 #include <memory>
+#include <span>
 
 #include "protocol/validation.hpp"
 #include "sim/engine.hpp"
@@ -27,10 +28,13 @@ class FuzzAdversary final : public Adversary {
   explicit FuzzAdversary(std::uint64_t seed)
       : rng_(crng::Key{0, seed}, 0, 0, crng::Purpose::kGeneric) {}
 
-  std::uint64_t honest_delay(std::uint64_t, std::uint32_t, std::uint32_t,
-                             protocol::BlockIndex) override {
+  void honest_delays(std::uint64_t, std::uint32_t sender,
+                     protocol::BlockIndex,
+                     std::span<std::uint64_t> out) override {
     // Deliberately out-of-range values: engine must clamp into [1, Δ].
-    return rng_.uniform_below(20);
+    for (std::uint32_t r = 0; r < out.size(); ++r) {
+      if (r != sender) out[r] = rng_.uniform_below(20);
+    }
   }
 
   void act(AdversaryOps& ops) override {
@@ -40,7 +44,7 @@ class FuzzAdversary final : public Adversary {
         // Extend a random previously mined block.
         const auto parent = mine_targets_[rng_.uniform_below(
             mine_targets_.size())];
-        if (const auto b = ops.try_mine_on(parent)) {
+        if (const auto b = ops.mine_on(parent, 1)) {
           mine_targets_.push_back(*b);
           withheld_.push_back(*b);
         }
@@ -51,7 +55,7 @@ class FuzzAdversary final : public Adversary {
             rng_.uniform_below(4) == 0
                 ? protocol::kGenesisIndex
                 : tips[rng_.uniform_below(tips.size())];
-        if (const auto b = ops.try_mine_on(parent)) {
+        if (const auto b = ops.mine_on(parent, 1)) {
           mine_targets_.push_back(*b);
           withheld_.push_back(*b);
         }
@@ -147,9 +151,9 @@ TEST(EngineDelayContract, OutOfRangeDelaysAreClamped) {
   // late (or round 0).
   class AbsurdDelays final : public Adversary {
    public:
-    std::uint64_t honest_delay(std::uint64_t, std::uint32_t, std::uint32_t,
-                               protocol::BlockIndex) override {
-      return ~0ULL;  // clamped to Δ
+    void honest_delays(std::uint64_t, std::uint32_t, protocol::BlockIndex,
+                       std::span<std::uint64_t> out) override {
+      std::fill(out.begin(), out.end(), ~0ULL);  // clamped to Δ
     }
     void act(AdversaryOps&) override {}
     const char* name() const override { return "absurd"; }

@@ -1,12 +1,14 @@
 // Pinned engine trajectories.  Every built-in strategy × network pair of
 // the quiet-skip battery, at n = 12 and n = 160, plus short n = 1000 runs
-// of the two dense-workload pairs and one n = 12 uniform-jitter cell at
-// Δ = 4096 (delays spread over thousands of distinct calendar buckets),
-// is folded into one 64-bit digest per (pair, n, Δ).  A digest covers the
+// of the two dense-workload pairs and two uniform-jitter cells at large Δ
+// (n = 12 at Δ = 4096, where delays spread over thousands of calendar
+// buckets, and n = 160 at Δ = 1000, where a broadcast has more distinct
+// delays than the engine has broadcast slots), is folded into one 64-bit
+// digest per (pair, n, Δ).  A digest covers the
 // unobserved RunResult and, per round of an observed run, every honest
 // tip, the best honest tip, every RoundActivity field and the round's
 // honest miners.  The constants were recorded from the per-miner engine
-// (one MinerView per honest miner); the Δ = 4096 cell from the view-class
+// (one MinerView per honest miner); the large-Δ cells from the view-class
 // engine that still mined one adversary query and drew one delay per
 // recipient at a time.  Any later engine representation must reproduce
 // these trajectories bit for bit — this table is the differential
@@ -153,6 +155,7 @@ const Pinned kPinned[] = {
     {"private-withhold", "uniform", 1000, 0xe4ec2b92ab3ce861ULL},
     {"fork-balancer", "split", 1000, 0x616ef04e8edeb14bULL},
     {"private-withhold", "uniform", 12, 0xd2e7c0e12ee40b5eULL, 4096},
+    {"private-withhold", "uniform", 160, 0x0f9c74a691e2171aULL, 1000},
 };
 
 class EnginePinned : public ::testing::TestWithParam<Pinned> {};

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -161,10 +162,10 @@ class CountingAdversary final : public Adversary {
  public:
   CountingAdversary(std::unique_ptr<Adversary> inner, std::uint64_t& acts)
       : inner_(std::move(inner)), acts_(acts) {}
-  std::uint64_t honest_delay(std::uint64_t round, std::uint32_t sender,
-                             std::uint32_t recipient,
-                             protocol::BlockIndex block) override {
-    return inner_->honest_delay(round, sender, recipient, block);
+  void honest_delays(std::uint64_t round, std::uint32_t sender,
+                     protocol::BlockIndex block,
+                     std::span<std::uint64_t> out) override {
+    inner_->honest_delays(round, sender, block, out);
   }
   void on_honest_block(std::uint64_t round,
                        protocol::BlockIndex block) override {

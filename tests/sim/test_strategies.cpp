@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 #include <memory>
+#include <vector>
 
 #include "sim/engine.hpp"
 
@@ -20,14 +21,25 @@ TEST(Factory, ProducesEveryKind) {
   }
 }
 
+/// The delays an adversary gives a broadcast by `sender` to `honest`
+/// miners, with the sender's own (ignored) entry left at 0.
+std::vector<std::uint64_t> delays_of(Adversary& adversary,
+                                     std::uint32_t honest,
+                                     std::uint32_t sender) {
+  std::vector<std::uint64_t> out(honest, 0);
+  adversary.honest_delays(0, sender, 0, out);
+  out[sender] = 0;
+  return out;
+}
+
 TEST(NullAdversary, ImmediateDelays) {
   NullAdversary adv;
-  EXPECT_EQ(adv.honest_delay(0, 0, 1, 0), 1u);
+  EXPECT_EQ(delays_of(adv, 3, 0), (std::vector<std::uint64_t>{0, 1, 1}));
 }
 
 TEST(MaxDelayAdversary, FullDelta) {
   MaxDelayAdversary adv(7);
-  EXPECT_EQ(adv.honest_delay(0, 0, 1, 0), 7u);
+  EXPECT_EQ(delays_of(adv, 3, 1), (std::vector<std::uint64_t>{7, 0, 7}));
 }
 
 TEST(PrivateWithhold, ForcesDeepReorgsWhenStrong) {
@@ -154,11 +166,15 @@ TEST(ForkBalancer, SplitsAndSustainsDivergenceWhenFavoured) {
 
 TEST(ForkBalancer, DelaysAreGroupLocal) {
   ForkBalancerAdversary adversary(10, 6);
-  // Miners [0,5) are group 0, [5,10) group 1.
-  EXPECT_EQ(adversary.honest_delay(0, 0, 4, 0), 1u);   // same group
-  EXPECT_EQ(adversary.honest_delay(0, 7, 9, 0), 1u);   // same group
-  EXPECT_EQ(adversary.honest_delay(0, 0, 5, 0), 6u);   // cross group
-  EXPECT_EQ(adversary.honest_delay(0, 9, 4, 0), 6u);   // cross group
+  // Miners [0,5) are group 0, [5,10) group 1: each side hears itself
+  // next round and the other side after the full Δ.
+  EXPECT_EQ(delays_of(adversary, 10, 0),
+            (std::vector<std::uint64_t>{0, 1, 1, 1, 1, 6, 6, 6, 6, 6}));
+  EXPECT_EQ(delays_of(adversary, 10, 7),
+            (std::vector<std::uint64_t>{6, 6, 6, 6, 6, 1, 1, 0, 1, 1}));
+  // Ids outside the partition always wait the full Δ.
+  EXPECT_EQ(delays_of(adversary, 12, 9),
+            (std::vector<std::uint64_t>{6, 6, 6, 6, 6, 1, 1, 1, 1, 0, 6, 6}));
 }
 
 TEST(DelaySaturate, ForcesReorgsAndKeepsALeadWhenStrong) {
