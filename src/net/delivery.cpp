@@ -40,26 +40,26 @@ void DeliveryCalendar::schedule_set(std::uint64_t due_round,
                                     std::span<const std::uint64_t> members) {
   NEATBOUND_EXPECTS(members.size() == words_per_set_,
                     "member set must hold one word per 64 recipients");
-  std::size_t first = words_per_set_;
-  std::size_t last = 0;
-  std::uint32_t count = 0;
-  for (std::size_t w = 0; w < words_per_set_; ++w) {
-    if (members[w] == 0) continue;
-    if (first == words_per_set_) first = w;
-    last = w;
-    count += static_cast<std::uint32_t>(std::popcount(members[w]));
-  }
-  if (count == 0) return;
+  // Only the last word can hold bits past the last recipient.
+  NEATBOUND_EXPECTS((members.back() & ~all_members_.back()) == 0,
+                    "recipient out of range");
+  std::size_t first = 0;
+  while (first < words_per_set_ && members[first] == 0) ++first;
+  if (first == words_per_set_) return;
   const auto lowest = static_cast<std::uint32_t>(
       first * 64 + std::countr_zero(members[first]));
-  const auto highest = static_cast<std::uint32_t>(
-      last * 64 + 63 - std::countl_zero(members[last]));
-  NEATBOUND_EXPECTS(highest < recipient_count_, "recipient out of range");
   Bucket& bucket = bucket_for(due_round);
   std::uint64_t* words = record_words_for(bucket, block, lowest);
-  for (std::size_t w = first; w <= last; ++w) words[w] |= members[w];
+  std::size_t last = first;
+  std::uint32_t count = 0;
+  for (std::size_t w = first; w < words_per_set_; ++w) {
+    words[w] |= members[w];
+    count += static_cast<std::uint32_t>(std::popcount(members[w]));
+    if (members[w] != 0) last = w;
+  }
   Record& record = bucket.records.back();
-  record.highest = highest;
+  record.highest = static_cast<std::uint32_t>(
+      last * 64 + 63 - std::countl_zero(members[last]));
   record.count += count;
   pending_ += count;
   NEATBOUND_COUNT_ADD(kCalendarScheduled, count);
