@@ -119,10 +119,10 @@ class DeliveryCalendar {
   /// Schedules `block` to every member of the recipient bitset `members`
   /// (one word per 64 recipients) at `due_round`: the same records,
   /// pending() and kCalendarScheduled count as schedule() for each member
-  /// in ascending order, in O(count/64).  The set joins the bucket's last
-  /// record when that record carries `block` and the set's lowest member
-  /// is above its highest; otherwise it opens one record.  An empty set
-  /// schedules nothing.
+  /// in ascending order, in one pass over its words.  The set joins the
+  /// bucket's last record when that record carries `block` and the set's
+  /// lowest member is above its highest; otherwise it opens one record.
+  /// An empty set schedules nothing.
   NEATBOUND_HOT void schedule_set(std::uint64_t due_round,
                                   protocol::BlockIndex block,
                                   std::span<const std::uint64_t> members);
