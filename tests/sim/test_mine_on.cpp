@@ -238,8 +238,9 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-/// Probes the mine_on contract from inside act(): illegal budgets throw,
-/// and every call spends exactly what the one-query replay would.
+/// Probes the mine_on contract from inside act(): illegal budgets throw
+/// and spend nothing, a miss spends exactly the queries it was given, and
+/// a hit spends at least one and at most that many.
 class ContractProbe final : public Adversary {
  public:
   void honest_delays(std::uint64_t, std::uint32_t, protocol::BlockIndex,
