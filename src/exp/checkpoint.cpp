@@ -76,7 +76,7 @@ stats::RunningStats read_stats(const support::JsonValue& value,
                              "[count, mean, m2, min, max]");
   }
   stats::RunningStatsState state;
-  state.count = array[0].as_uint();
+  state.count = array[0].as_uint(path + ": summary count");
   state.mean = array[1].as_number();
   state.m2 = array[2].as_number();
   state.min = array[3].as_number();
@@ -185,11 +185,11 @@ SweepCheckpoint load_sweep_checkpoint(const std::string& path,
         ") — grid, engine parameters, components or adaptive options "
         "changed");
   }
-  checkpoint.waves_done = document.at("waves_done").as_uint();
+  checkpoint.waves_done = document.at("waves_done").as_uint("waves_done");
   for (const support::JsonValue& entry : document.at("cells").as_array()) {
     CellCheckpoint cell;
     cell.seeds_done = entry.at("seeds_done").as_uint32("cells[].seeds_done");
-    cell.violations = entry.at("violations").as_uint();
+    cell.violations = entry.at("violations").as_uint("cells[].violations");
     cell.stopped = entry.at("stopped").as_bool();
     cell.stopped_early = entry.at("stopped_early").as_bool();
     const support::JsonValue& summary = entry.at("summary");
@@ -199,7 +199,8 @@ SweepCheckpoint load_sweep_checkpoint(const std::string& path,
     // Optional key: absent in telemetry-OFF checkpoints (accumulator
     // stays all-zero) and in files written before the telemetry layer.
     if (const support::JsonValue* tel = entry.find("telemetry")) {
-      cell.summary.telemetry.runs = tel->at("runs").as_uint();
+      cell.summary.telemetry.runs =
+          tel->at("runs").as_uint("cells[].telemetry.runs");
       const auto& counters = tel->at("counters").as_array();
       if (counters.size() != telemetry::kCounterCount) {
         throw std::runtime_error(
@@ -208,7 +209,8 @@ SweepCheckpoint load_sweep_checkpoint(const std::string& path,
             std::to_string(telemetry::kCounterCount));
       }
       for (std::size_t c = 0; c < telemetry::kCounterCount; ++c) {
-        cell.summary.telemetry.counters[c] = counters[c].as_uint();
+        cell.summary.telemetry.counters[c] =
+            counters[c].as_uint("cells[].telemetry.counters");
       }
     }
     checkpoint.cells.push_back(cell);

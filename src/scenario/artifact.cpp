@@ -123,9 +123,10 @@ sim::EngineConfig parse_engine(const JsonValue& engine) {
       require(engine, "miners", "engine").as_uint32("engine.miners");
   config.adversary_fraction = require(engine, "nu", "engine").as_number();
   config.p = require(engine, "p", "engine").as_number();
-  config.delta = require(engine, "delta", "engine").as_uint();
-  config.rounds = require(engine, "rounds", "engine").as_uint();
-  config.seed = require(engine, "seed", "engine").as_uint();
+  config.delta = require(engine, "delta", "engine").as_uint("engine.delta");
+  config.rounds =
+      require(engine, "rounds", "engine").as_uint("engine.rounds");
+  config.seed = require(engine, "seed", "engine").as_uint("engine.seed");
   // Kept in the format for compatibility; counter is the only discipline.
   const std::string rng = require(engine, "rng", "engine").as_string();
   if (rng != "counter") {
@@ -147,16 +148,18 @@ sim::OracleConfig parse_oracle_block(const JsonValue& oracle) {
                       "oracle");
   sim::OracleConfig config;
   config.common_prefix = require(oracle, "common_prefix", "oracle").as_bool();
-  config.common_prefix_t =
-      require(oracle, "common_prefix_t", "oracle").as_uint();
-  config.growth_window = require(oracle, "growth_window", "oracle").as_uint();
-  config.growth_min_blocks =
-      require(oracle, "growth_min_blocks", "oracle").as_uint();
-  config.quality_window =
-      require(oracle, "quality_window", "oracle").as_uint();
+  config.common_prefix_t = require(oracle, "common_prefix_t", "oracle")
+                               .as_uint("oracle.common_prefix_t");
+  config.growth_window = require(oracle, "growth_window", "oracle")
+                             .as_uint("oracle.growth_window");
+  config.growth_min_blocks = require(oracle, "growth_min_blocks", "oracle")
+                                 .as_uint("oracle.growth_min_blocks");
+  config.quality_window = require(oracle, "quality_window", "oracle")
+                              .as_uint("oracle.quality_window");
   config.quality_min_ratio =
       require(oracle, "quality_min_ratio", "oracle").as_number();
-  config.slice_rounds = require(oracle, "slice_rounds", "oracle").as_uint();
+  config.slice_rounds = require(oracle, "slice_rounds", "oracle")
+                            .as_uint("oracle.slice_rounds");
   try {
     sim::validate_oracle_config(config);
   } catch (const std::exception& e) {
@@ -193,9 +196,12 @@ sim::OracleViolation parse_violation(const JsonValue& violation) {
     artifact_error("violation: unknown invariant \"" + name + "\"");
   }
   out.kind = *kind;
-  out.round = require(violation, "round", "violation").as_uint();
-  out.measured = require(violation, "measured", "violation").as_uint();
-  out.bound = require(violation, "bound", "violation").as_uint();
+  out.round =
+      require(violation, "round", "violation").as_uint("violation.round");
+  out.measured = require(violation, "measured", "violation")
+                     .as_uint("violation.measured");
+  out.bound =
+      require(violation, "bound", "violation").as_uint("violation.bound");
   out.view_a =
       require(violation, "view_a", "violation").as_uint32("violation.view_a");
   out.view_b =
@@ -222,7 +228,7 @@ sim::ViewSnapshot parse_view(const JsonValue& view, std::size_t index) {
   sim::ViewSnapshot snapshot;
   snapshot.miner = require(view, "miner", where).as_uint32(where + ".miner");
   snapshot.tip = require(view, "tip", where).as_uint32(where + ".tip");
-  snapshot.height = require(view, "height", where).as_uint();
+  snapshot.height = require(view, "height", where).as_uint(where + ".height");
   snapshot.hash = parse_hex16(require(view, "hash", where).as_string(), where);
   if (snapshot.miner != index) {
     artifact_error(where + ": views must be in miner order (0, 1, ...)");
@@ -337,7 +343,7 @@ ViolationArtifact parse_artifact(const JsonValue& document) {
   ViolationArtifact artifact;
   artifact.engine = parse_engine(require(document, "engine", "document"));
   artifact.violation_t =
-      require(document, "violation_t", "document").as_uint();
+      require(document, "violation_t", "document").as_uint("violation_t");
   artifact.oracle =
       parse_oracle_block(require(document, "oracle", "document"));
   artifact.adversary = parse_component(

@@ -43,12 +43,7 @@ std::uint64_t Params::get_uint(const std::string& name,
                                std::uint64_t default_value) const {
   const JsonValue* v = lookup(name);
   if (v == nullptr) return default_value;
-  try {
-    return v->as_uint();
-  } catch (const std::exception&) {
-    throw std::runtime_error("parameter \"" + name +
-                             "\" must be a non-negative integer");
-  }
+  return v->as_uint("parameter \"" + name + "\"");
 }
 
 std::string Params::get_string(const std::string& name,

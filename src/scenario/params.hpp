@@ -30,7 +30,8 @@ class Params {
   /// Number lookup with default; throws on a present-but-non-numeric value.
   [[nodiscard]] double get_number(const std::string& name,
                                   double default_value) const;
-  /// get_number constrained to a non-negative integer.
+  /// get_number constrained to a non-negative integer ≤ 2^53; a failure
+  /// names the parameter and gives JsonValue::as_uint's reason.
   [[nodiscard]] std::uint64_t get_uint(const std::string& name,
                                        std::uint64_t default_value) const;
   [[nodiscard]] std::string get_string(const std::string& name,

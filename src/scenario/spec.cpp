@@ -26,9 +26,9 @@ double number_or(const JsonValue& object, const char* key,
 }
 
 std::uint64_t uint_or(const JsonValue& object, const char* key,
-                      std::uint64_t default_value) {
+                      std::uint64_t default_value, const std::string& field) {
   const JsonValue* v = object.find(key);
-  return v == nullptr ? default_value : v->as_uint();
+  return v == nullptr ? default_value : v->as_uint(field);
 }
 
 std::uint32_t uint32_or(const JsonValue& object, const char* key,
@@ -147,16 +147,20 @@ OracleSpec parse_oracle(const JsonValue& oracle) {
     }
   }
   if (const JsonValue* t = oracle.find("common_prefix_t")) {
-    out.common_prefix_t = t->as_uint();
+    out.common_prefix_t = t->as_uint("oracle.common_prefix_t");
   }
-  out.growth_window = uint_or(oracle, "growth_window", out.growth_window);
+  out.growth_window = uint_or(oracle, "growth_window", out.growth_window,
+                              "oracle.growth_window");
   out.growth_min_blocks =
-      uint_or(oracle, "growth_min_blocks", out.growth_min_blocks);
-  out.quality_window = uint_or(oracle, "quality_window", out.quality_window);
+      uint_or(oracle, "growth_min_blocks", out.growth_min_blocks,
+              "oracle.growth_min_blocks");
+  out.quality_window = uint_or(oracle, "quality_window", out.quality_window,
+                               "oracle.quality_window");
   out.quality_min_ratio =
       number_or(oracle, "quality_min_ratio", out.quality_min_ratio);
-  out.slice_rounds = uint_or(oracle, "slice_rounds", out.slice_rounds);
-  out.max_runs = uint_or(oracle, "max_runs", out.max_runs);
+  out.slice_rounds = uint_or(oracle, "slice_rounds", out.slice_rounds,
+                             "oracle.slice_rounds");
+  out.max_runs = uint_or(oracle, "max_runs", out.max_runs, "oracle.max_runs");
   // Full arming rules (vacuous thresholds, slice bounds) live in
   // sim::validate_oracle_config, applied when the block resolves to an
   // OracleConfig; here only the window/threshold basics that are wrong
@@ -192,7 +196,8 @@ ReportSpec parse_report(const JsonValue& report) {
       column.header = string_or(entry, "header", column.value);
       column.decimals =
           static_cast<int>(uint_or(entry, "decimals",
-                                   static_cast<std::uint64_t>(3)));
+                                   static_cast<std::uint64_t>(3),
+                                   "report.columns[].decimals"));
       out.columns.push_back(std::move(column));
     }
   }
@@ -243,8 +248,8 @@ ScenarioSpec parse_scenario(const JsonValue& document) {
                         "engine");
     spec.miners = uint32_or(*engine, "miners", spec.miners, "engine.miners");
     spec.nu = number_or(*engine, "nu", spec.nu);
-    spec.delta = uint_or(*engine, "delta", spec.delta);
-    spec.rounds = uint_or(*engine, "rounds", spec.rounds);
+    spec.delta = uint_or(*engine, "delta", spec.delta, "engine.delta");
+    spec.rounds = uint_or(*engine, "rounds", spec.rounds, "engine.rounds");
     spec.p = number_or(*engine, "p", spec.p);
   }
 
@@ -275,8 +280,9 @@ ScenarioSpec parse_scenario(const JsonValue& document) {
   if (spec.seeds == 0) {
     throw std::runtime_error("scenario: \"seeds\" must be >= 1");
   }
-  spec.base_seed = uint_or(document, "base_seed", spec.base_seed);
-  spec.violation_t = uint_or(document, "violation_t", spec.violation_t);
+  spec.base_seed = uint_or(document, "base_seed", spec.base_seed, "base_seed");
+  spec.violation_t = uint_or(document, "violation_t", spec.violation_t,
+                             "violation_t");
 
   if (const JsonValue* adaptive = document.find("adaptive")) {
     spec.adaptive = parse_adaptive(*adaptive);

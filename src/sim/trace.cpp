@@ -133,7 +133,7 @@ RoundRecord round_record_from_json(const support::JsonValue& value) {
     }
   }
   RoundRecord record;
-  record.round = value.at("round").as_uint();
+  record.round = value.at("round").as_uint("round");
   record.honest_mined = value.at("honest_mined").as_uint32("honest_mined");
   record.adversary_mined =
       value.at("adversary_mined").as_uint32("adversary_mined");
@@ -142,8 +142,9 @@ RoundRecord round_record_from_json(const support::JsonValue& value) {
   }
   record.delivered = value.at("delivered").as_uint32("delivered");
   record.adoptions = value.at("adoptions").as_uint32("adoptions");
-  record.best_height = value.at("best_height").as_uint();
-  record.violation_depth = value.at("violation_depth").as_uint();
+  record.best_height = value.at("best_height").as_uint("best_height");
+  record.violation_depth =
+      value.at("violation_depth").as_uint("violation_depth");
   // Empty mined_by with honest_mined > 0 is the aggregate-engine form
   // (counting-only records, miner identity not modeled).
   if (!record.mined_by.empty() &&

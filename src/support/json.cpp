@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -74,17 +75,27 @@ double JsonValue::as_number() const {
   return number_;
 }
 
-std::uint64_t JsonValue::as_uint() const {
-  const double n = as_number();
-  if (!(n >= 0.0) || n != std::floor(n) || n > 9.007199254740992e15) {
-    throw std::runtime_error(
-        "JSON: expected a non-negative integer, have " + std::to_string(n));
+std::uint64_t JsonValue::as_uint(std::string_view field) const {
+  const double n = number_;
+  const bool integer = is_number() && n >= 0.0 && n == std::floor(n);
+  if (integer && n <= static_cast<double>(kMaxExactInteger)) {
+    return static_cast<std::uint64_t>(n);
   }
-  return static_cast<std::uint64_t>(n);
+  char text[400];  // %.0f of the largest double takes 309 digits
+  if (integer) {
+    std::snprintf(text, sizeof text, "%.0f", n);
+    throw std::runtime_error(std::string(field) + ": " + text +
+                             " exceeds the exact-integer limit 2^53 (" +
+                             std::to_string(kMaxExactInteger) + ")");
+  }
+  if (is_number()) std::snprintf(text, sizeof text, "%.17g", n);
+  throw std::runtime_error(std::string(field) +
+                           ": expected a non-negative integer, have " +
+                           (is_number() ? text : kind_name()));
 }
 
 std::uint32_t JsonValue::as_uint32(std::string_view field) const {
-  const std::uint64_t n = as_uint();
+  const std::uint64_t n = as_uint(field);
   if (n > std::numeric_limits<std::uint32_t>::max()) {
     throw std::runtime_error(std::string(field) + ": " + std::to_string(n) +
                              " is out of range (max 4294967295)");

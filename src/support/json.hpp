@@ -27,6 +27,11 @@ namespace neatbound::support {
 /// container is depth 1).
 inline constexpr std::size_t kMaxJsonDepth = 256;
 
+/// 2^53: every integer up to it is exact as a double, and a larger JSON
+/// number may already have been rounded when it was parsed, so integer
+/// accessors reject it rather than return a value the file did not hold.
+inline constexpr std::uint64_t kMaxExactInteger = std::uint64_t{1} << 53;
+
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -62,9 +67,10 @@ class JsonValue {
   // Checked accessors; throw std::runtime_error on a kind mismatch.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
-  /// as_number, additionally required to be a non-negative integer that
-  /// fits the return type exactly.
-  [[nodiscard]] std::uint64_t as_uint() const;
+  /// A non-negative integer no larger than kMaxExactInteger.  Failures
+  /// name `field` and say why: not a number, not a non-negative integer,
+  /// or past the exact-integer limit.
+  [[nodiscard]] std::uint64_t as_uint(std::string_view field) const;
   /// as_uint, additionally required to fit std::uint32_t; an out-of-range
   /// value fails naming `field` instead of wrapping (4294967297 → 1).
   [[nodiscard]] std::uint32_t as_uint32(std::string_view field) const;

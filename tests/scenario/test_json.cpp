@@ -53,9 +53,39 @@ TEST(Json, StringEscapes) {
 }
 
 TEST(Json, UintAccessorChecksIntegrality) {
-  EXPECT_EQ(parse_json("7").as_uint(), 7u);
-  EXPECT_THROW((void)parse_json("7.5").as_uint(), std::runtime_error);
-  EXPECT_THROW((void)parse_json("-1").as_uint(), std::runtime_error);
+  EXPECT_EQ(parse_json("7").as_uint("x"), 7u);
+  EXPECT_THROW((void)parse_json("7.5").as_uint("x"), std::runtime_error);
+  EXPECT_THROW((void)parse_json("-1").as_uint("x"), std::runtime_error);
+}
+
+// Expects `call` to throw a runtime_error whose message is `want`.
+template <typename Call>
+void expect_message(Call call, const std::string& want) {
+  try {
+    (void)call();
+    ADD_FAILURE() << "expected: " << want;
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), want);
+  }
+}
+
+TEST(Json, UintAccessorNamesTheFieldAndTheReason) {
+  // 2^53 itself is exact; one past it is the first rejected integer.
+  EXPECT_EQ(parse_json("9007199254740992").as_uint("x"),
+            support::kMaxExactInteger);
+  expect_message([] { return parse_json("1e18").as_uint("engine.rounds"); },
+                 "engine.rounds: 1000000000000000000 exceeds the "
+                 "exact-integer limit 2^53 (9007199254740992)");
+  expect_message(
+      [] { return parse_json("9007199254740994").as_uint32("seeds"); },
+      "seeds: 9007199254740994 exceeds the exact-integer limit 2^53 "
+      "(9007199254740992)");
+  expect_message([] { return parse_json("7.5").as_uint("n"); },
+                 "n: expected a non-negative integer, have 7.5");
+  expect_message([] { return parse_json("-1").as_uint("n"); },
+                 "n: expected a non-negative integer, have -1");
+  expect_message([] { return parse_json(R"("7")").as_uint("n"); },
+                 "n: expected a non-negative integer, have string");
 }
 
 TEST(Json, NestingDepthIsCapped) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "scenario/json.hpp"
 #include "sim/engine.hpp"
@@ -134,6 +136,33 @@ TEST(Registry, RejectsUnknownNamesAndParameters) {
                    "null", params_from(R"({"x": 1})"), engine_config,
                    honest),
                std::runtime_error);
+}
+
+TEST(Registry, IntegerParameterPastTwoToThe53NamesItAndTheLimit) {
+  const ScenarioRegistry& registry = ScenarioRegistry::builtin();
+  const sim::EngineConfig engine_config = small_engine();
+  const Params params =
+      params_from(R"({"give_up_margin": 1000000000000000000})");
+  const std::string want =
+      "parameter \"give_up_margin\": 1000000000000000000 exceeds the "
+      "exact-integer limit 2^53 (9007199254740992)";
+  try {
+    (void)params.get_uint("give_up_margin", 6);
+    ADD_FAILURE() << "expected: " << want;
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), want);
+  }
+  try {
+    (void)registry.make_strategy("private-withhold", params, engine_config,
+                                 sim::honest_miner_count(engine_config));
+    ADD_FAILURE() << "expected: " << want;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(params_from(R"({"give_up_margin": 9007199254740992})")
+                .get_uint("give_up_margin", 6),
+            std::uint64_t{1} << 53);
 }
 
 TEST(Registry, DuplicateRegistrationThrows) {

@@ -157,6 +157,21 @@ TEST(Spec, OutOfRangeCountsFailNamingTheField) {
       4294967295u);
 }
 
+TEST(Spec, IntegersPastTwoToThe53FailNamingTheFieldAndTheLimit) {
+  // A double holds every integer only up to 2^53; past it the parsed
+  // value may already be rounded, so it is refused by name, not narrowed.
+  expect_error_naming(
+      R"({"name": "x", "engine": {"rounds": 1e18, "delta": 2}})",
+      "engine.rounds: 1000000000000000000 exceeds the exact-integer limit "
+      "2^53");
+  expect_error_naming(R"({"name": "x", "seeds": 1e17})",
+                      "seeds: 100000000000000000 exceeds the exact-integer "
+                      "limit 2^53");
+  expect_error_naming(R"({"name": "x", "engine": {"delta": 1.5}})",
+                      "engine.delta: expected a non-negative integer, have "
+                      "1.5");
+}
+
 TEST(Spec, RemovedRngKeyFailsNamingIt) {
   expect_error_naming(R"({"name": "x", "engine": {"rng": "counter"}})",
                       "engine.rng");
