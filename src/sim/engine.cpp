@@ -311,7 +311,6 @@ std::size_t ExecutionEngine::solo_class(std::uint32_t miner) {
 }
 
 void ExecutionEngine::merge_equal_classes() {
-  if (!classes_changed_) return;
   classes_changed_ = false;
   // One pass of an open-addressing table keyed by (tip, known-set hash):
   // each class probes for an earlier class with its key, and the full
@@ -564,16 +563,24 @@ void ExecutionEngine::step_round(std::uint64_t round,
   }
   {
     NEATBOUND_PHASE_SCOPE(kMetrics);
-    merge_equal_classes();
-    // Members of a class share its tip, so the class tips are exactly the
-    // distinct honest tips the tracker needs.
-    class_tips_.clear();
-    for (std::size_t c = 0; c < live_classes_; ++c) {
-      // neatbound-analyze: allow(hot-alloc) — reserved to honest_count_
-      // in the constructor, which bounds the class count.
-      class_tips_.push_back(classes_[c].view.tip());
+    if (classes_changed_) {
+      merge_equal_classes();
+      // Members of a class share its tip, so the class tips are exactly
+      // the distinct honest tips the tracker needs.
+      class_tips_.clear();
+      for (std::size_t c = 0; c < live_classes_; ++c) {
+        // neatbound-analyze: allow(hot-alloc) — reserved to honest_count_
+        // in the constructor, which bounds the class count.
+        class_tips_.push_back(classes_[c].view.tip());
+      }
+      consistency_.observe_round(class_tips_, store_);
+    } else {
+      // No class was delivered to, split or mined into since the last
+      // merge, and tips move only through note_adoption: every tip is
+      // where the last observed round left it, the fold the quiet skip
+      // commits.
+      consistency_.observe_rounds_unchanged(1);
     }
-    consistency_.observe_round(class_tips_, store_);
   }
   if (observer) observer(*this, round);
 }

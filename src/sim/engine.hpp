@@ -177,6 +177,13 @@ class ExecutionEngine {
   [[nodiscard]] std::uint64_t violation_depth() const noexcept {
     return consistency_.violation_depth();
   }
+  /// Worst pairwise divergence among the honest tips at the end of the
+  /// round that just finished (ConsistencyTracker::round_divergence); 0
+  /// while every view holds the same tip.  What the per-round oracle reads
+  /// instead of rescanning honest_tips().
+  [[nodiscard]] std::uint64_t round_divergence() const noexcept {
+    return consistency_.round_divergence();
+  }
 
  private:
   class Ops;  // AdversaryOps implementation
@@ -247,9 +254,10 @@ class ExecutionEngine {
       std::uint32_t covered);
   /// Index of a class holding `miner` alone, split off if it shares one.
   NEATBOUND_HOT std::size_t solo_class(std::uint32_t miner);
-  /// Merges classes whose views compare equal.  O(1) unless a view
-  /// changed this round; candidates are found by (tip, known-set hash)
-  /// and confirmed by full comparison, in O(classes) hash probes.
+  /// Merges classes whose views compare equal; called only when a view
+  /// changed or split since the last pass (classes_changed_).  Candidates
+  /// are found by (tip, known-set hash) and confirmed by full comparison,
+  /// in O(classes) hash probes.
   NEATBOUND_HOT void merge_equal_classes();
 
   /// Stamps metadata on a freshly mined honest block, stores it, updates

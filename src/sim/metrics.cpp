@@ -28,6 +28,7 @@ void ConsistencyTracker::observe_round(
     scratch_.push_back(tip);
   }
   last_round_disagreed_ = scratch_.size() >= 2;
+  round_divergence_ = 0;
   if (scratch_.size() < 2) return;
   ++disagreement_rounds_;
   for (std::size_t i = 0; i < scratch_.size(); ++i) {
@@ -36,9 +37,10 @@ void ConsistencyTracker::observe_round(
           store.common_prefix_height(scratch_[i], scratch_[j]);
       const std::uint64_t deeper = std::max(store.height_of(scratch_[i]),
                                             store.height_of(scratch_[j]));
-      max_divergence_ = std::max(max_divergence_, deeper - common);
+      round_divergence_ = std::max(round_divergence_, deeper - common);
     }
   }
+  max_divergence_ = std::max(max_divergence_, round_divergence_);
 }
 
 ChainMetrics measure_chain(const protocol::BlockStore& store,

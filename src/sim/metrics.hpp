@@ -25,9 +25,10 @@ class ConsistencyTracker {
   void observe_reorg(std::uint64_t depth) noexcept;
 
   /// Records the end-of-round honest tips; computes the worst pairwise
-  /// divergence among the (few) distinct tips.  Any multiset with the
-  /// right distinct tips gives the same result: the engine passes one tip
-  /// per view class, which can repeat a tip but never misses one.
+  /// divergence among the (few) distinct tips, kept as round_divergence()
+  /// and folded into the run maximum.  Any multiset with the right
+  /// distinct tips gives the same result: the engine passes one tip per
+  /// view class, which can repeat a tip but never misses one.
   void observe_round(std::span<const protocol::BlockIndex> tips,
                      const protocol::BlockStore& store);
 
@@ -36,7 +37,8 @@ class ConsistencyTracker {
   /// cannot move, so only the disagreement-round count is folded in.  The
   /// engine's quiet-round skip commits a whole run of silent rounds in
   /// O(1) through this; results are identical to observing each round,
-  /// which the quiet-skip differential battery pins.
+  /// which the quiet-skip differential battery pins.  round_divergence()
+  /// carries over unchanged.
   void observe_rounds_unchanged(std::uint64_t count) noexcept {
     disagreement_rounds_ += last_round_disagreed_ ? count : 0;
   }
@@ -46,6 +48,12 @@ class ConsistencyTracker {
   }
   [[nodiscard]] std::uint64_t max_divergence() const noexcept {
     return max_divergence_;
+  }
+  /// Worst pairwise divergence among the tips of the most recently
+  /// observed round (0 when every honest view holds the same tip): the
+  /// per-round quantity whose running maximum is max_divergence().
+  [[nodiscard]] std::uint64_t round_divergence() const noexcept {
+    return round_divergence_;
   }
   /// Rounds in which at least two honest miners held different tips.
   [[nodiscard]] std::uint64_t disagreement_rounds() const noexcept {
@@ -60,6 +68,7 @@ class ConsistencyTracker {
  private:
   std::uint64_t max_reorg_depth_ = 0;
   std::uint64_t max_divergence_ = 0;
+  std::uint64_t round_divergence_ = 0;
   std::uint64_t disagreement_rounds_ = 0;
   /// Whether the most recent observe_round saw ≥ 2 distinct tips (what an
   /// unchanged round would see again).

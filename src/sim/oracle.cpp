@@ -23,6 +23,45 @@ std::uint64_t quality_required(const OracleConfig& config) {
                 static_cast<double>(config.quality_window)));
 }
 
+/// Names the first maximal pair of distinct honest tips, in miner order,
+/// as the violation's view_a/view_b.
+void name_divergent_pair(const ExecutionEngine& engine,
+                         std::uint64_t divergence,
+                         OracleViolation& violation) {
+  const auto tips = engine.honest_tips();
+  const auto& store = engine.store();
+  // Distinct tips in miner order, remembering the first view holding
+  // each, so the first maximal pair names the same views on every run
+  // and on replay.  Runs once, at the freeze.
+  std::vector<protocol::BlockIndex> distinct;
+  std::vector<std::uint32_t> owner;
+  for (std::uint32_t m = 0; m < tips.size(); ++m) {
+    if (std::find(distinct.begin(), distinct.end(), tips[m]) ==
+        distinct.end()) {
+      distinct.push_back(tips[m]);
+      owner.push_back(m);
+    }
+  }
+  std::uint64_t widest = 0;
+  for (std::size_t i = 0; i < distinct.size(); ++i) {
+    for (std::size_t j = i + 1; j < distinct.size(); ++j) {
+      const std::uint64_t common =
+          store.common_prefix_height(distinct[i], distinct[j]);
+      const std::uint64_t deeper = std::max(store.height_of(distinct[i]),
+                                            store.height_of(distinct[j]));
+      if (deeper - common > widest) {
+        widest = deeper - common;
+        violation.view_a = owner[i];
+        violation.view_b = owner[j];
+      }
+    }
+  }
+  // The tracker scans one tip per view class; the per-miner tips must
+  // hold exactly the same distinct tips.
+  NEATBOUND_ENSURES(widest == divergence,
+                    "per-miner tips disagree with the tracker's divergence");
+}
+
 }  // namespace
 
 const char* invariant_name(InvariantKind kind) noexcept {
@@ -105,39 +144,9 @@ void InvariantOracle::record_round(const ExecutionEngine& engine,
 
 void InvariantOracle::check_common_prefix(const ExecutionEngine& engine,
                                           std::uint64_t round) {
-  const auto tips = engine.honest_tips();
-  const auto& store = engine.store();
-  // Distinct tips in first-occurrence order, remembering the first view
-  // holding each — the pairwise maximum is order-independent (same
-  // contract as ConsistencyTracker::observe_round), the owners make the
-  // offending pair deterministic.
-  tip_scratch_.clear();
-  tip_owner_scratch_.clear();
-  for (std::uint32_t m = 0; m < tips.size(); ++m) {
-    const protocol::BlockIndex tip = tips[m];
-    if (std::find(tip_scratch_.begin(), tip_scratch_.end(), tip) !=
-        tip_scratch_.end()) {
-      continue;
-    }
-    tip_scratch_.push_back(tip);
-    tip_owner_scratch_.push_back(m);
-  }
-  std::uint64_t divergence = 0;
-  std::size_t arg_i = 0;
-  std::size_t arg_j = 0;
-  for (std::size_t i = 0; i < tip_scratch_.size(); ++i) {
-    for (std::size_t j = i + 1; j < tip_scratch_.size(); ++j) {
-      const std::uint64_t common =
-          store.common_prefix_height(tip_scratch_[i], tip_scratch_[j]);
-      const std::uint64_t deeper = std::max(store.height_of(tip_scratch_[i]),
-                                            store.height_of(tip_scratch_[j]));
-      if (deeper - common > divergence) {
-        divergence = deeper - common;
-        arg_i = i;
-        arg_j = j;
-      }
-    }
-  }
+  // The tracker has already folded this round's tips: reading its
+  // per-round divergence keeps one implementation of the quantity.
+  const std::uint64_t divergence = engine.round_divergence();
   const std::uint64_t reorg = engine.round_activity().max_reorg_depth;
   const std::uint64_t depth = std::max(divergence, reorg);
   max_round_depth_ = std::max(max_round_depth_, depth);
@@ -149,8 +158,7 @@ void InvariantOracle::check_common_prefix(const ExecutionEngine& engine,
   violation.measured = depth;
   violation.bound = config_.common_prefix_t;
   if (divergence >= reorg) {
-    violation.view_a = tip_owner_scratch_[arg_i];
-    violation.view_b = tip_owner_scratch_[arg_j];
+    name_divergent_pair(engine, divergence, violation);
   } else {
     // A reorg alone exceeded T: the reorging view is both offenders.
     violation.view_a = engine.round_activity().max_reorg_view;
@@ -184,9 +192,13 @@ void InvariantOracle::check_chain_quality(const ExecutionEngine& engine,
                                           std::uint64_t round) {
   const std::uint64_t window = config_.quality_window;
   if (violation_.has_value()) return;
+  // The last K blocks behind a block never change, so neither does the
+  // verdict while the best tip stays the same block.
+  protocol::BlockIndex block = engine.best_honest_tip();
+  if (block == quality_checked_tip_) return;
+  quality_checked_tip_ = block;
   if (engine.best_height() < window) return;  // chain not yet K deep
   const auto& store = engine.store();
-  protocol::BlockIndex block = engine.best_honest_tip();
   std::uint64_t honest = 0;
   for (std::uint64_t i = 0; i < window; ++i) {
     if (store.miner_class_of(block) == protocol::MinerClass::kHonest) {

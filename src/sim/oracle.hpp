@@ -17,11 +17,16 @@
 // Cost model (why this stays out of untraced hot paths): the oracle is a
 // RoundObserver, attached only when requested, and reads public
 // accessors after the round has executed — an unobserved run executes
-// zero oracle instructions.  When armed, per round: common-prefix is
-// O(d² log h) for d distinct tips (d is almost always 1–3; each pair is
-// one binary-lifting common_ancestor query), chain-growth is O(1) against
-// a ring of W heights, chain-quality is one O(K) parent walk.  The slice
-// recorder appends one RoundRecord into a bounded ring.  Nothing here
+// zero oracle instructions.  When armed, a round costs O(1) unless the
+// views changed or the best tip moved: common-prefix reads the
+// divergence ConsistencyTracker computed for this round (the engine
+// skips even that on a round where no view changed), chain-growth is
+// O(1) against a ring of W heights, and chain-quality walks its O(K)
+// parents only when the best tip is a different block from the last
+// walk's.  The pairwise scan over per-miner tips, O(n·d + d² log h) for
+// d distinct tips, runs only at a common-prefix violation, to name the
+// offending pair — at most once per run.  The slice recorder appends one
+// RoundRecord into a bounded ring.  Nothing here
 // writes to the simulation: an oracle-armed run's RunResult is
 // bit-identical to an unarmed run of the same seed
 // (tests/sim/test_oracle.cpp pins this, like PR 8 did for tracing).
@@ -81,8 +86,8 @@ struct OracleConfig {
 
 /// Rejects unusable configurations with a ContractViolation naming the
 /// field: no invariant armed, growth_min_blocks = 0 with growth armed,
-/// quality_min_ratio outside [0, 1], slice_rounds = 0 or above the
-/// trace-record cap (2²⁰).
+/// quality_min_ratio outside (0, 1] with quality armed, slice_rounds = 0
+/// or above the trace-record cap (2²⁰).
 void validate_oracle_config(const OracleConfig& config);
 
 /// The first failed assertion.  `measured` vs `bound` reads per kind:
@@ -138,11 +143,12 @@ class InvariantOracle {
   /// round, oldest first; EXPECTS violated().
   [[nodiscard]] const std::vector<RoundRecord>& violation_slice() const;
 
-  /// Running max of the per-round common-prefix depth — by construction
-  /// equal to ConsistencyTracker::violation_depth() over the same rounds
-  /// (each round's depth is max(pairwise divergence of end-of-round
-  /// tips, deepest reorg this round); the tracker accumulates exactly
-  /// those two maxima).  The cross-check property test pins equality.
+  /// Running max of the per-round common-prefix depth, max(the tracker's
+  /// divergence of the end-of-round tips, deepest reorg this round) — so
+  /// equal to ConsistencyTracker::violation_depth() over the same rounds,
+  /// which accumulates exactly those two maxima.  Both read one source;
+  /// tests/sim/test_oracle_reference.cpp checks them against a reference
+  /// that recomputes every round from the per-miner tips.
   [[nodiscard]] std::uint64_t max_round_depth() const noexcept {
     return max_round_depth_;
   }
@@ -167,10 +173,9 @@ class InvariantOracle {
   /// Ring of the trailing RoundRecords (slice_rounds capacity);
   /// slice-order materialization happens once, at freeze time.
   std::vector<RoundRecord> record_ring_;
-  /// Distinct-tip scratch of the common-prefix pass (first-occurrence
-  /// order, like ConsistencyTracker), reused every round.
-  std::vector<protocol::BlockIndex> tip_scratch_;
-  std::vector<std::uint32_t> tip_owner_scratch_;
+  /// The best-tip block chain-quality last judged.  Genesis is never
+  /// quality_window (≥ 1) deep, so starting there skips nothing.
+  protocol::BlockIndex quality_checked_tip_ = protocol::kGenesisIndex;
   std::optional<OracleViolation> violation_;
   std::vector<ViewSnapshot> views_;
   std::vector<RoundRecord> slice_;

@@ -1,8 +1,10 @@
 // Invariant-oracle tests: name registry round-trips, config validation,
-// the oracle↔tracker cross-check property (the oracle's per-round
-// common-prefix depth, accumulated, must equal ConsistencyTracker's
-// violation depth exactly — across all 7 adversary strategies × several
-// network models), first-violation freezing and window invariants.  The
+// the oracle↔tracker cross-check (the oracle's per-round common-prefix
+// depth, accumulated, must equal ConsistencyTracker's violation depth
+// across all 7 adversary strategies × several network models; both read
+// the tracker's per-round divergence, so the independent per-round check
+// is tests/sim/test_oracle_reference.cpp), first-violation freezing and
+// window invariants.  The
 // observer-purity contract (oracle-on fixed-seed trajectories are
 // bit-identical to oracle-off) is pinned per strategy by
 // tests/sim/test_quiet_skip_equivalence.cpp.
@@ -85,11 +87,11 @@ TEST(OracleConfig, ValidationRejectsUnusableConfigs) {
 }
 
 // The exactness property behind the whole replay design: the oracle's
-// per-round depth is max(pairwise end-of-round divergence, deepest reorg
-// this round), and ConsistencyTracker::violation_depth is the running
-// max of exactly those two quantities — so the accumulated oracle depth
-// must equal the tracker's answer bit-for-bit, on every strategy and
-// network model.  And at the *first* round whose depth exceeds T, a
+// per-round depth is max(the tracker's end-of-round divergence, deepest
+// reorg this round), and ConsistencyTracker::violation_depth is the
+// running max of exactly those two quantities — so the accumulated oracle
+// depth must equal the tracker's answer bit-for-bit, on every strategy
+// and network model.  And at the *first* round whose depth exceeds T, a
 // truncated rerun to that round has violation_depth == measured (all
 // earlier rounds were ≤ T < measured).
 TEST(OracleCrossCheck, MatchesTrackerAcrossStrategiesAndNetworks) {
