@@ -76,7 +76,7 @@ stats::RunningStats read_stats(const support::JsonValue& value,
                              "[count, mean, m2, min, max]");
   }
   stats::RunningStatsState state;
-  state.count = array[0].as_uint(path + ": summary count");
+  state.count = array[0].as_uint("summary count");
   state.mean = array[1].as_number();
   state.m2 = array[2].as_number();
   state.min = array[3].as_number();

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <string_view>
 
 #include "sim/oracle.hpp"
 
@@ -26,13 +27,13 @@ double number_or(const JsonValue& object, const char* key,
 }
 
 std::uint64_t uint_or(const JsonValue& object, const char* key,
-                      std::uint64_t default_value, const std::string& field) {
+                      std::uint64_t default_value, std::string_view field) {
   const JsonValue* v = object.find(key);
   return v == nullptr ? default_value : v->as_uint(field);
 }
 
 std::uint32_t uint32_or(const JsonValue& object, const char* key,
-                        std::uint32_t default_value, const std::string& field) {
+                        std::uint32_t default_value, std::string_view field) {
   const JsonValue* v = object.find(key);
   return v == nullptr ? default_value : v->as_uint32(field);
 }
