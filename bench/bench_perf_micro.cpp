@@ -1,12 +1,18 @@
 // Performance microbenchmarks (google-benchmark): throughput of the
 // components the experiment harnesses lean on — per-round simulation cost,
 // binomial sampling, suffix-chain solves, frontier inversions, LogProb
-// arithmetic, and the two halves of an honest broadcast (per-broadcast
-// delay draws, calendar scheduling).
+// arithmetic, the two halves of an honest broadcast (per-broadcast delay
+// draws, calendar scheduling), and the adversary's per-group queries and
+// publications, per view class against per miner.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "bounds/frontier.hpp"
@@ -203,6 +209,164 @@ void BM_CounterUniformDelays(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (kBroadcastRecipients - 1));
 }
 BENCHMARK(BM_CounterUniformDelays);
+
+// --- adversary group queries: per view class vs per miner ----------------
+
+/// Drives an engine until its honest views form `classes` live classes
+/// with no honest block in flight, then runs `body` (the benchmark loop)
+/// inside that round's adversary turn, where AdversaryOps is live.  Class
+/// c holds the honest ids m with m·classes/h = c: withheld block j goes to
+/// the classes whose index has bit j set, so log2(classes) blocks give
+/// `classes` distinct views, and Δ = 32 keeps their gossip echo away
+/// while the loop runs.
+class ClassShaper final : public sim::Adversary {
+ public:
+  using Body = std::function<void(sim::AdversaryOps&)>;
+  ClassShaper(std::uint32_t classes, Body body)
+      : classes_(classes), body_(std::move(body)) {}
+  void honest_delays(std::uint64_t, std::uint32_t, protocol::BlockIndex,
+                     std::span<std::uint64_t> out) override {
+    std::fill(out.begin(), out.end(), 1);
+  }
+  void on_honest_block(std::uint64_t round, protocol::BlockIndex) override {
+    last_honest_round_ = round;
+  }
+  void act(sim::AdversaryOps& ops) override {
+    if (measured) return;
+    const auto bits = static_cast<std::size_t>(std::countr_zero(classes_));
+    if (withheld_.size() < bits) {
+      if (const auto mined = ops.mine_on(protocol::kGenesisIndex,
+                                         ops.remaining_queries())) {
+        withheld_.push_back(*mined);
+      }
+      return;
+    }
+    if (published_round_ == 0) {
+      const std::uint32_t h = ops.honest_count();
+      for (std::uint32_t m = 0; m < h; ++m) {
+        const std::uint64_t c = std::uint64_t{m} * classes_ / h;
+        for (std::size_t j = 0; j < bits; ++j) {
+          if (((c >> j) & 1) != 0) ops.publish_to(m, withheld_[j], 1);
+        }
+      }
+      published_round_ = ops.round();
+      return;
+    }
+    // Wait for a round that neither mines nor delivers an honest block:
+    // the classes are then exactly the shaped ones, already merged.
+    if (ops.round() < published_round_ + 2 ||
+        last_honest_round_ + 1 >= ops.round() ||
+        engine->view_class_count() != classes_) {
+      return;
+    }
+    body_(ops);
+    measured = true;
+  }
+  const char* name() const override { return "class-shaper"; }
+
+  const sim::ExecutionEngine* engine = nullptr;  ///< set once constructed
+  bool measured = false;
+
+ private:
+  std::uint32_t classes_;
+  Body body_;
+  std::vector<protocol::BlockIndex> withheld_;
+  std::uint64_t published_round_ = 0;
+  std::uint64_t last_honest_round_ = 0;
+};
+
+/// Runs `body` in an engine of n = range(0) miners (ν = 0.45) whose
+/// honest views form range(1) classes.
+void run_shaped(benchmark::State& state, const ClassShaper::Body& body) {
+  sim::EngineConfig config;
+  config.miner_count = static_cast<std::uint32_t>(state.range(0));
+  config.adversary_fraction = 0.45;
+  config.delta = 32;
+  // About 0.3 adversary and 0.37 honest blocks per round.
+  config.p = 0.3 / (0.45 * static_cast<double>(config.miner_count));
+  config.rounds = 400;
+  config.seed = 1;
+  auto shaper = std::make_unique<ClassShaper>(
+      static_cast<std::uint32_t>(state.range(1)), body);
+  ClassShaper* const seen = shaper.get();
+  sim::ExecutionEngine engine(config, std::move(shaper));
+  seen->engine = &engine;
+  (void)engine.run();
+  if (!seen->measured) state.SkipWithError("class shape never reached");
+}
+
+void class_shapes(benchmark::internal::Benchmark* b) {
+  for (const int n : {160, 1000}) {
+    for (const int classes : {1, 8, 64}) b->Args({n, classes});
+  }
+}
+
+/// Both partition halves' best tips (one HonestPartition::sync_branches),
+/// computed per view class.
+void BM_BestTipInRangePerClass(benchmark::State& state) {
+  run_shaped(state, [&state](sim::AdversaryOps& ops) {
+    const std::uint32_t h = ops.honest_count();
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(ops.best_honest_tip_in(0, h / 2));
+      benchmark::DoNotOptimize(ops.best_honest_tip_in(h / 2, h));
+    }
+  });
+}
+BENCHMARK(BM_BestTipInRangePerClass)->Apply(class_shapes);
+
+/// The same two answers from an ascending scan of the per-miner tips.
+void BM_BestTipInRangePerMiner(benchmark::State& state) {
+  run_shaped(state, [&state](sim::AdversaryOps& ops) {
+    const std::uint32_t h = ops.honest_count();
+    const protocol::BlockStore& store = ops.store();
+    for (auto _ : state) {
+      for (const auto& [first, last] : {std::pair{0u, h / 2},
+                                       std::pair{h / 2, h}}) {
+        const auto tips = ops.honest_tips();
+        protocol::BlockIndex best = protocol::kGenesisIndex;
+        for (std::uint32_t m = first; m < last; ++m) {
+          if (store.height_of(tips[m]) > store.height_of(best)) best = tips[m];
+        }
+        benchmark::DoNotOptimize(best);
+      }
+    }
+  });
+}
+BENCHMARK(BM_BestTipInRangePerMiner)->Apply(class_shapes);
+
+// Every publication leaves a calendar record that is delivered only in
+// the next round, so the publication cases run a fixed iteration count
+// (a few MB of records at n = 1000).
+constexpr benchmark::IterationCount kPublications = 1 << 13;
+
+/// One group's publication (HonestPartition::publish_to_group) as one
+/// range: one set built, one schedule_set, one echo check.
+void BM_PublishToRange(benchmark::State& state) {
+  run_shaped(state, [&state](sim::AdversaryOps& ops) {
+    const std::uint32_t h = ops.honest_count();
+    for (auto _ : state) {
+      ops.publish_to_range(h / 2, h, protocol::kGenesisIndex, 1);
+    }
+    state.SetItemsProcessed(state.iterations() * (h - h / 2));
+  });
+}
+BENCHMARK(BM_PublishToRange)->Apply(class_shapes)->Iterations(kPublications);
+
+/// The same publication as one publish_to per member, ascending.
+void BM_PublishToRangePerMember(benchmark::State& state) {
+  run_shaped(state, [&state](sim::AdversaryOps& ops) {
+    const std::uint32_t h = ops.honest_count();
+    for (auto _ : state) {
+      for (std::uint32_t m = h / 2; m < h; ++m) {
+        ops.publish_to(m, protocol::kGenesisIndex, 1);
+      }
+    }
+    state.SetItemsProcessed(state.iterations() * (h - h / 2));
+  });
+}
+BENCHMARK(BM_PublishToRangePerMember)
+    ->Apply(class_shapes)
+    ->Iterations(kPublications);
 
 }  // namespace
 

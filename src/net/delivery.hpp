@@ -61,6 +61,40 @@ inline void set_all_members(std::span<std::uint64_t> members,
   }
 }
 
+/// Sets exactly the bits of recipients [first, last) in `members`, which
+/// must hold at least (last + 63) / 64 words; every other bit is cleared.
+inline void set_member_range(std::span<std::uint64_t> members,
+                             std::uint32_t first,
+                             std::uint32_t last) noexcept {
+  std::fill(members.begin(), members.end(), 0);
+  if (first >= last) return;
+  const std::size_t low = first / 64;
+  const std::size_t high = (last - 1) / 64;
+  for (std::size_t w = low; w <= high; ++w) members[w] = ~std::uint64_t{0};
+  members[low] &= ~std::uint64_t{0} << (first % 64);
+  members[high] &= ~std::uint64_t{0} >> (63 - (last - 1) % 64);
+}
+
+/// The lowest member of `members` in [first, last), or `last` when the
+/// range holds none.  Reads only the range's words, masking the first and
+/// the last of them.
+[[nodiscard]] inline std::uint32_t first_member_in(
+    std::span<const std::uint64_t> members, std::uint32_t first,
+    std::uint32_t last) noexcept {
+  if (first >= last) return last;
+  const std::size_t low = first / 64;
+  const std::size_t high = (last - 1) / 64;
+  for (std::size_t w = low; w <= high; ++w) {
+    std::uint64_t bits = members[w];
+    if (w == low) bits &= ~std::uint64_t{0} << (first % 64);
+    if (w == high) bits &= ~std::uint64_t{0} >> (63 - (last - 1) % 64);
+    if (bits != 0) {
+      return static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+    }
+  }
+  return last;
+}
+
 /// Round-indexed delivery calendar for all recipients: a flat ring buffer
 /// of per-round buckets.  Δ is small and bounded, so every in-flight
 /// message lives within a narrow window of future rounds — a

@@ -37,22 +37,29 @@ Block BlockStore::block(BlockIndex index) const {
   return b;
 }
 
-// neatbound-analyze: allow(hot-alloc) — accepted allocation boundary:
-// add() is the append-only SoA growth point; every push_back amortizes
-// geometrically over blocks ever mined, and nothing downstream of it is
-// per-delivery work.  Keep new columns inside this function.
 BlockIndex BlockStore::add(Block block) {
   const auto parent_it = by_hash_.find(block.parent_hash);
   NEATBOUND_EXPECTS(parent_it != by_hash_.end(),
                     "parent block must exist before its child");
-  NEATBOUND_EXPECTS(by_hash_.find(block.hash) == by_hash_.end(),
-                    "duplicate block hash (oracle collision)");
-  const BlockIndex parent = parent_it->second;
-  const std::uint32_t height = height_[parent] + 1;
+  return add_child(parent_it->second, std::move(block));
+}
+
+// neatbound-analyze: allow(hot-alloc) — accepted allocation boundary:
+// add_child() is the append-only SoA growth point; every push_back
+// amortizes geometrically over blocks ever mined, and nothing downstream
+// of it is per-delivery work.  Keep new columns inside this function.
+BlockIndex BlockStore::add_child(BlockIndex parent, Block block) {
+  check_index(parent);
+  NEATBOUND_EXPECTS(hash_[parent] == block.parent_hash,
+                    "block's parent hash does not name the given parent");
   NEATBOUND_EXPECTS(block.round >= round_[parent],
                     "child round must not precede parent round");
+  const std::uint32_t height = height_[parent] + 1;
   const auto index = static_cast<BlockIndex>(hash_.size());
-  by_hash_.emplace(block.hash, index);
+  // The one hash operation per block: indexing the new hash also detects
+  // a duplicate, before any column grows.
+  const bool fresh = by_hash_.emplace(block.hash, index).second;
+  NEATBOUND_EXPECTS(fresh, "duplicate block hash (oracle collision)");
 
   hash_.push_back(block.hash);
   parent_hash_.push_back(block.parent_hash);
@@ -100,7 +107,7 @@ BlockIndex BlockStore::add(Block block) {
           miner_.size() == hash_.size() &&
           miner_class_.size() == hash_.size() &&
           message_.size() == hash_.size() && by_hash_.size() == hash_.size(),
-      "SoA columns out of lockstep after add()");
+      "SoA columns out of lockstep after add_child()");
   NEATBOUND_INVARIANT(
       std::all_of(skip_.begin(), skip_.end(),
                   [&](const std::vector<BlockIndex>& row) {

@@ -88,6 +88,11 @@ class BlockStore {
   /// Duplicate hashes are a contract violation (the oracle is collision-
   /// free at the scales simulated).
   BlockIndex add(Block block);
+  /// add() for a caller that already knows the parent's index: the same
+  /// contract, checked against `parent` (whose hash must equal
+  /// block.parent_hash) instead of looked up by hash, so a block costs
+  /// one hash-map operation.  block.parent and block.height are ignored.
+  BlockIndex add_child(BlockIndex parent, Block block);
 
   /// Looks up a block by hash; returns nullptr-like sentinel via found flag.
   [[nodiscard]] bool contains_hash(HashValue hash) const noexcept;

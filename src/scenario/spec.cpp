@@ -1,5 +1,6 @@
 #include "scenario/spec.hpp"
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <string_view>
@@ -195,10 +196,15 @@ ReportSpec parse_report(const JsonValue& report) {
       ColumnSpec column;
       column.value = entry.at("value").as_string();
       column.header = string_or(entry, "header", column.value);
-      column.decimals =
-          static_cast<int>(uint_or(entry, "decimals",
-                                   static_cast<std::uint64_t>(3),
-                                   "report.columns[].decimals"));
+      const std::uint64_t decimals =
+          uint_or(entry, "decimals", static_cast<std::uint64_t>(3),
+                  "report.columns[].decimals");
+      if (decimals > static_cast<std::uint64_t>(kMaxReportDecimals)) {
+        throw std::runtime_error(
+            "report.columns[].decimals: " + std::to_string(decimals) +
+            " exceeds the maximum of " + std::to_string(kMaxReportDecimals));
+      }
+      column.decimals = static_cast<int>(decimals);
       out.columns.push_back(std::move(column));
     }
   }
@@ -206,10 +212,67 @@ ReportSpec parse_report(const JsonValue& report) {
     throw std::runtime_error(
         "report: section_by requires a section_label template");
   }
+  (void)parse_label_template(out.section_label);
   return out;
 }
 
 }  // namespace
+
+std::vector<LabelPiece> parse_label_template(
+    const std::string& label_template) {
+  std::vector<LabelPiece> pieces;
+  const auto literal = [&pieces](char c) {
+    if (pieces.empty() || pieces.back().decimals >= 0) pieces.emplace_back();
+    pieces.back().text += c;
+  };
+  for (std::size_t i = 0; i < label_template.size();) {
+    const char c = label_template[i];
+    const bool doubled = i + 1 < label_template.size() &&
+                         label_template[i + 1] == c;
+    if ((c == '{' || c == '}') && doubled) {
+      literal(c);
+      i += 2;
+      continue;
+    }
+    if (c != '{') {
+      literal(c);
+      ++i;
+      continue;
+    }
+    const std::size_t close = label_template.find('}', i);
+    if (close == std::string::npos) {
+      throw std::runtime_error("report.section_label: unterminated '{' in \"" +
+                               label_template + "\"");
+    }
+    const std::string hole = label_template.substr(i + 1, close - i - 1);
+    LabelPiece piece{hole, 6};
+    if (const std::size_t colon = hole.find(':');
+        colon != std::string::npos) {
+      const std::string digits = hole.substr(colon + 1);
+      if (digits.empty() ||
+          digits.find_first_not_of("0123456789") != std::string::npos) {
+        throw std::runtime_error(
+            "report.section_label: bad precision in \"{" + hole + "}\"");
+      }
+      // Saturating read: any run of digits past the maximum is refused
+      // by name, never narrowed or overflowed.
+      int decimals = 0;
+      for (const char d : digits) {
+        decimals = std::min(decimals * 10 + (d - '0'), kMaxReportDecimals + 1);
+      }
+      if (decimals > kMaxReportDecimals) {
+        throw std::runtime_error("report.section_label: precision " + digits +
+                                 " in \"{" + hole +
+                                 "}\" exceeds the maximum of " +
+                                 std::to_string(kMaxReportDecimals));
+      }
+      piece = {hole.substr(0, colon), decimals};
+    }
+    pieces.push_back(std::move(piece));
+    i = close + 1;
+  }
+  return pieces;
+}
 
 bool ScenarioSpec::has_axis(const std::string& axis_name) const {
   for (const AxisSpec& axis : axes) {

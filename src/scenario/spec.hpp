@@ -73,11 +73,30 @@ struct ComponentSpec {
   Params params;     ///< everything else in the component object
 };
 
+/// The largest report precision (digits after the point) a column or a
+/// section-label hole may ask for; a double carries 17 significant digits.
+inline constexpr int kMaxReportDecimals = 17;
+
 struct ColumnSpec {
   std::string header;  ///< table column header (defaults to `value`)
   std::string value;   ///< cell source: axis, derived or "<stat>.<agg>"
-  int decimals = 3;    ///< format_fixed precision
+  int decimals = 3;    ///< format_fixed precision, ≤ kMaxReportDecimals
 };
+
+/// One piece of a section-label template: literal text, or a
+/// "{name}" / "{name:decimals}" hole (decimals defaults to 6).
+struct LabelPiece {
+  std::string text;   ///< the literal text, or the hole's value name
+  int decimals = -1;  ///< the hole's precision; -1 for literal text
+};
+
+/// Splits a section-label template into pieces ("{{" and "}}" escape
+/// literal braces).  Throws std::runtime_error naming
+/// report.section_label on an unterminated hole, a precision that is not
+/// a run of digits, or one above kMaxReportDecimals, so a spec fails at
+/// parse time rather than when its first section is rendered.
+[[nodiscard]] std::vector<LabelPiece> parse_label_template(
+    const std::string& label_template);
 
 /// Sequential-stopping schedule (the "adaptive" block); values mirror
 /// exp::AdaptiveOptions.

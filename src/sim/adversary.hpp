@@ -40,6 +40,14 @@ class AdversaryOps {
       const = 0;
   /// The highest tip any honest miner currently holds.
   [[nodiscard]] virtual protocol::BlockIndex best_honest_tip() const = 0;
+  /// The highest tip among honest ids [first, last): what an ascending
+  /// scan of honest_tips() over the range that keeps only a strictly
+  /// higher tip returns, so ties go to the lowest id and a range holding
+  /// only genesis tips (or none) gives genesis.  Computed per view class,
+  /// not per miner.  Contract violation unless first ≤ last ≤
+  /// honest_count().
+  [[nodiscard]] virtual protocol::BlockIndex best_honest_tip_in(
+      std::uint32_t first, std::uint32_t last) const = 0;
 
   // --- mining (capability ②, sequential queries) ---
   [[nodiscard]] virtual std::uint64_t remaining_queries() const = 0;
@@ -58,6 +66,13 @@ class AdversaryOps {
   virtual void publish_to(std::uint32_t recipient,
                           protocol::BlockIndex block,
                           std::uint64_t delay) = 0;
+  /// Sends `block` to every honest id in [first, last) with one delay:
+  /// the same as publish_to(m, block, delay) for each m in ascending
+  /// order (nothing for an empty range), in one calendar call.  Contract
+  /// violation unless first ≤ last ≤ honest_count().
+  virtual void publish_to_range(std::uint32_t first, std::uint32_t last,
+                                protocol::BlockIndex block,
+                                std::uint64_t delay) = 0;
   /// Convenience: send to every honest recipient with one delay.
   virtual void publish_to_all(protocol::BlockIndex block,
                               std::uint64_t delay) = 0;

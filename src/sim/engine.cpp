@@ -83,10 +83,14 @@ class ExecutionEngine::Ops final : public AdversaryOps {
   }
   [[nodiscard]] std::span<const protocol::BlockIndex> honest_tips()
       const override {
-    return engine_.tips_scratch_;
+    return engine_.honest_tips();
   }
   [[nodiscard]] protocol::BlockIndex best_honest_tip() const override {
     return engine_.best_honest_tip();
+  }
+  [[nodiscard]] protocol::BlockIndex best_honest_tip_in(
+      std::uint32_t first, std::uint32_t last) const override {
+    return engine_.best_honest_tip_in(first, last);
   }
   [[nodiscard]] std::uint64_t remaining_queries() const override {
     return remaining_;
@@ -127,7 +131,7 @@ class ExecutionEngine::Ops final : public AdversaryOps {
     ++engine_.adversary_blocks_total_;
     ++engine_.round_activity_.adversary_mined;
     NEATBOUND_COUNT(kAdversaryBlocksMined);
-    return engine_.store_.add(std::move(block));
+    return engine_.store_.add_child(parent, std::move(block));
   }
 
   void publish_to(std::uint32_t recipient, protocol::BlockIndex block,
@@ -136,6 +140,22 @@ class ExecutionEngine::Ops final : public AdversaryOps {
                       "recipient out of range");
     const std::uint64_t d = engine_.clamp_delay(delay);
     engine_.calendar_.schedule(round_ + d, recipient, block);
+    engine_.schedule_echo(round_ + d, block);
+  }
+
+  void publish_to_range(std::uint32_t first, std::uint32_t last,
+                        protocol::BlockIndex block,
+                        std::uint64_t delay) override {
+    NEATBOUND_EXPECTS(first <= last && last <= engine_.honest_count_,
+                      "recipient range out of bounds");
+    // An empty range publishes nothing, so it must not start the echo.
+    if (first == last) return;
+    const std::uint64_t d = engine_.clamp_delay(delay);
+    // schedule_set leaves exactly the records that ascending schedule()
+    // calls for the range's members leave; the echo is scheduled once,
+    // as the first of those calls would.
+    net::set_member_range(engine_.range_members_, first, last);
+    engine_.calendar_.schedule_set(round_ + d, block, engine_.range_members_);
     engine_.schedule_echo(round_ + d, block);
   }
 
@@ -183,6 +203,7 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
   // One class holding every honest miner at genesis.
   member_words_ = (std::size_t{honest_count_} + 63) / 64;
   solo_members_.assign(member_words_, 0);
+  range_members_.assign(member_words_, 0);
   classes_.resize(1);
   classes_[0].members.resize(member_words_);
   net::set_all_members(classes_[0].members, honest_count_);
@@ -193,7 +214,7 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
   merge_slot_epoch_.assign(merge_slot_class_.size(), 0);
   absorbed_.assign(honest_count_, false);
   class_tips_.reserve(honest_count_);
-  tips_scratch_.resize(honest_count_, protocol::kGenesisIndex);
+  tips_.resize(honest_count_, protocol::kGenesisIndex);
   // At most honest_count_ honest blocks per round, so the per-round miner
   // list never reallocates after this.
   round_miners_.reserve(honest_count_);
@@ -213,11 +234,59 @@ ExecutionEngine::~ExecutionEngine() = default;
 
 protocol::BlockIndex ExecutionEngine::honest_tip(std::uint32_t miner) const {
   NEATBOUND_EXPECTS(miner < honest_count_, "miner id out of range");
-  return tips_scratch_[miner];
+  return classes_[class_of(miner)].view.tip();
+}
+
+std::span<const protocol::BlockIndex> ExecutionEngine::honest_tips() const {
+  if (tips_stale_) {
+    for (std::size_t c = 0; c < live_classes_; ++c) {
+      const protocol::BlockIndex tip = classes_[c].view.tip();
+      net::for_each_member(classes_[c].members,
+                           [&](std::uint32_t m) { tips_[m] = tip; });
+    }
+    tips_stale_ = false;
+  }
+  return tips_;
 }
 
 protocol::BlockIndex ExecutionEngine::best_honest_tip() const {
   return best_tip_;
+}
+
+protocol::BlockIndex ExecutionEngine::best_honest_tip_in(
+    std::uint32_t first, std::uint32_t last) const {
+  NEATBOUND_EXPECTS(first <= last && last <= honest_count_,
+                    "honest id range out of bounds");
+  // Members share their class's tip, so the ascending per-miner scan's
+  // answer is the highest class tip, a tie going to the class whose
+  // lowest member in the range is lowest.  Genesis is the only tip at
+  // height 0, so starting from it covers an all-genesis range.
+  protocol::BlockIndex best = protocol::kGenesisIndex;
+  std::uint64_t best_height = 0;
+  std::uint32_t best_member = last;
+  for (std::size_t c = 0; c < live_classes_; ++c) {
+    // A lower class cannot win, so its member words are never read; an
+    // equal one wins only with a member below the best one's.
+    const std::uint64_t height = classes_[c].view.tip_height();
+    if (height < best_height) continue;
+    const std::uint32_t bound = height > best_height ? last : best_member;
+    const std::uint32_t m =
+        net::first_member_in(classes_[c].members, first, bound);
+    if (m == bound) continue;
+    best = classes_[c].view.tip();
+    best_height = height;
+    best_member = m;
+  }
+  return best;
+}
+
+std::size_t ExecutionEngine::class_of(std::uint32_t miner) const {
+  const std::size_t word = miner / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (miner % 64);
+  std::size_t c = 0;
+  while (c < live_classes_ && (classes_[c].members[word] & bit) == 0) ++c;
+  NEATBOUND_INVARIANT(c < live_classes_, "miner belongs to no live class");
+  return c;
 }
 
 void ExecutionEngine::note_adoption(std::size_t c, const AdoptionEvent& event,
@@ -227,11 +296,10 @@ void ExecutionEngine::note_adoption(std::size_t c, const AdoptionEvent& event,
   const std::uint64_t height = cls.view.tip_height();
   round_activity_.adoptions += cls.size;
   NEATBOUND_COUNT_ADD(kAdoptions, cls.size);
-  std::uint32_t lowest = honest_count_;
-  net::for_each_member(cls.members, [&](std::uint32_t m) {
-    lowest = std::min(lowest, m);
-    tips_scratch_[m] = tip;
-  });
+  const std::uint32_t lowest =
+      net::first_member_in(cls.members, 0, honest_count_);
+  // The per-miner tips are rebuilt from the classes when next read.
+  tips_stale_ = true;
   // Members share the tip, so of all of them only the lowest can move the
   // lowest-index best-tip maximum.
   if (height > best_height_ ||
@@ -256,7 +324,7 @@ void ExecutionEngine::note_adoption(std::size_t c, const AdoptionEvent& event,
   NEATBOUND_INVARIANT(best_height_ == store_.height_of(best_tip_),
                       "best-tip height cache out of lockstep with the store");
   NEATBOUND_INVARIANT(best_view_ < honest_count_ &&
-                          tips_scratch_[best_view_] == best_tip_,
+                          honest_tip(best_view_) == best_tip_,
                       "best-tip cache names a tip no view holds");
   NEATBOUND_INVARIANT(best_height_ >= height,
                       "best-tip cache fell behind a fresh adoption");
@@ -298,13 +366,10 @@ std::size_t ExecutionEngine::split_class(
 }
 
 std::size_t ExecutionEngine::solo_class(std::uint32_t miner) {
-  const std::size_t word = miner / 64;
-  const std::uint64_t bit = std::uint64_t{1} << (miner % 64);
-  std::size_t c = 0;
-  while (c < live_classes_ && (classes_[c].members[word] & bit) == 0) ++c;
-  NEATBOUND_INVARIANT(c < live_classes_, "miner belongs to no live class");
+  const std::size_t c = class_of(miner);
   if (classes_[c].size == 1) return c;
-  solo_members_[word] = bit;
+  const std::size_t word = miner / 64;
+  solo_members_[word] = std::uint64_t{1} << (miner % 64);
   const std::size_t solo = split_class(c, solo_members_, 1);
   solo_members_[word] = 0;
   return solo;
@@ -484,6 +549,8 @@ void ExecutionEngine::schedule_slots(std::uint64_t round,
 
 void ExecutionEngine::register_honest_block(std::uint64_t round,
                                             std::uint32_t miner,
+                                            std::size_t c,
+                                            protocol::BlockIndex parent,
                                             protocol::Block&& block) {
   block.round = round;
   block.miner = miner;
@@ -491,15 +558,13 @@ void ExecutionEngine::register_honest_block(std::uint64_t round,
   if (environment_ != nullptr) {
     block.message = environment_->message_for(round, miner);
   }
-  const protocol::BlockIndex index = store_.add(std::move(block));
+  const protocol::BlockIndex index = store_.add_child(parent, std::move(block));
   ++round_activity_.honest_mined;
   // neatbound-analyze: allow(hot-alloc) — capacity pre-reserved to
   // honest_count_ in the constructor; this append never reallocates.
   round_miners_.push_back(miner);
   NEATBOUND_COUNT(kHonestBlocksMined);
-  // The miner adopts its own block immediately (it extends its tip); its
-  // view leaves any class it shared.
-  const std::size_t c = solo_class(miner);
+  // The miner adopts its own block immediately (it extends its tip).
   const AdoptionEvent event = classes_[c].view.deliver(index, store_);
   classes_[c].touched = true;
   classes_changed_ = true;
@@ -521,11 +586,15 @@ void ExecutionEngine::honest_mining_phase(std::uint64_t round) {
   const std::uint64_t base = end - honest_count_;
   while (honest_gaps_.peek() < end) {
     const auto m = static_cast<std::uint32_t>(honest_gaps_.take() - base);
+    // The miner's view leaves any class it shared, since it adopts its
+    // own block; the class tip is the parent it mines on.
+    const std::size_t c = solo_class(m);
+    const protocol::BlockIndex parent = classes_[c].view.tip();
     const crng::Block draws = crng::philox4x64(
         {round, m, purpose_of(crng::Purpose::kHonestBlock), 0}, key_);
     register_honest_block(
-        round, m,
-        protocol::assemble_block(oracle_, store_.hash_of(tips_scratch_[m]),
+        round, m, c, parent,
+        protocol::assemble_block(oracle_, store_.hash_of(parent),
                                  /*payload_digest=*/draws[1],
                                  /*nonce=*/draws[0]));
   }
@@ -546,9 +615,9 @@ void ExecutionEngine::step_round(std::uint64_t round,
     NEATBOUND_PHASE_SCOPE(kMine);
     honest_mining_phase(round);
   }
-  // tips_scratch_ / best_tip_ are already current: every adoption path
-  // runs through note_adoption, so the adversary and metrics read the
-  // same snapshot the old per-round rescan produced.
+  // best_tip_ and the class tips are already current: every adoption
+  // path runs through note_adoption, so the adversary and metrics read
+  // the same snapshot a per-round rescan of the views would produce.
   if (adversary_queries_ > 0) {
     NEATBOUND_PHASE_SCOPE(kAdversary);
     Ops ops(*this, round, adversary_queries_);

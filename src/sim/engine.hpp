@@ -29,9 +29,15 @@
 // first, the covered part taking a copy of the view.  At the end of every
 // round that delivered or mined, classes whose views compare equal merge
 // again.  Every per-player quantity — delivered and adoption counts, the
-// tip snapshot, the lowest-index best-tip rule, the reorg witness — is
-// charged per member covered, so trajectories are bit-identical to one
-// view per player (tests/sim/test_engine_pinned.cpp).
+// lowest-index best-tip rule, the reorg witness — is charged per member
+// covered, so trajectories are bit-identical to one view per player
+// (tests/sim/test_engine_pinned.cpp).  An adoption costs O(1) in the
+// class size: a member's tip is its class's tip, honest mining reads it
+// there, and the per-player tip array is rebuilt from the classes only
+// when a reader asks for it after an adoption (honest_tips()).  The
+// adversary's per-group queries are per class too
+// (AdversaryOps::best_honest_tip_in), and a publication to a range of
+// players is one calendar call (AdversaryOps::publish_to_range).
 #pragma once
 
 #include <cstdint>
@@ -153,11 +159,22 @@ class ExecutionEngine {
   [[nodiscard]] std::uint32_t honest_count() const noexcept {
     return honest_count_;
   }
+  /// Current tip of one honest miner: its view class's tip, O(classes).
   [[nodiscard]] protocol::BlockIndex honest_tip(std::uint32_t miner) const;
   [[nodiscard]] protocol::BlockIndex best_honest_tip() const;
-  /// Current tips of all honest miners (valid after run()).
-  [[nodiscard]] std::span<const protocol::BlockIndex> honest_tips() const {
-    return tips_scratch_;
+  /// See AdversaryOps::best_honest_tip_in; O(classes · range words).
+  [[nodiscard]] protocol::BlockIndex best_honest_tip_in(
+      std::uint32_t first, std::uint32_t last) const;
+  /// Current tips of all honest miners, indexed by id.  The span views a
+  /// cache that is rebuilt from the view classes, O(n), on the first read
+  /// after an adoption (free otherwise), so re-read it once the engine has
+  /// moved on.  Not safe to call from two threads at once.
+  [[nodiscard]] std::span<const protocol::BlockIndex> honest_tips() const;
+
+  /// Live view classes: distinct honest views as of the last merge, plus
+  /// any split since.
+  [[nodiscard]] std::size_t view_class_count() const noexcept {
+    return live_classes_;
   }
 
   // --- per-round activity, for RoundObserver consumers (sim/trace) ---
@@ -237,10 +254,11 @@ class ExecutionEngine {
     std::uint32_t view = 0;
   };
   /// Records that class `c` adopted a new tip, charging every member:
-  /// adoption counts, the per-member tip snapshot, the running best-tip
-  /// maximum and the record's reorg witness.  The best-tip tie rule
-  /// (strictly greater height, or equal height from a lower-indexed view)
-  /// needs only the class's lowest member, since members share a tip.
+  /// adoption counts, the running best-tip maximum and the record's reorg
+  /// witness, and marks the per-miner tip array stale.  The best-tip tie
+  /// rule (strictly greater height, or equal height from a lower-indexed
+  /// view) needs only the class's lowest member, since members share a
+  /// tip; no per-member work is done.
   NEATBOUND_HOT void note_adoption(std::size_t c, const AdoptionEvent& event,
                                    ReorgWitness& witness);
   /// Folds a record's reorg witness into the round's max_reorg_*: the
@@ -252,6 +270,8 @@ class ExecutionEngine {
   NEATBOUND_HOT std::size_t split_class(
       std::size_t c, std::span<const std::uint64_t> members,
       std::uint32_t covered);
+  /// Index of the live class holding `miner`; O(classes).
+  [[nodiscard]] std::size_t class_of(std::uint32_t miner) const;
   /// Index of a class holding `miner` alone, split off if it shares one.
   NEATBOUND_HOT std::size_t solo_class(std::uint32_t miner);
   /// Merges classes whose views compare equal; called only when a view
@@ -260,10 +280,12 @@ class ExecutionEngine {
   /// in O(classes) hash probes.
   NEATBOUND_HOT void merge_equal_classes();
 
-  /// Stamps metadata on a freshly mined honest block, stores it, updates
-  /// views/metrics and broadcasts it.
+  /// Stamps metadata on a freshly mined honest block, stores it as a
+  /// child of `parent`, delivers it to the miner's solo class `c`, updates
+  /// metrics and broadcasts it.
   NEATBOUND_HOT void register_honest_block(std::uint64_t round,
-                                           std::uint32_t miner,
+                                           std::uint32_t miner, std::size_t c,
+                                           protocol::BlockIndex parent,
                                            protocol::Block&& block);
 
   EngineConfig config_;
@@ -288,8 +310,10 @@ class ExecutionEngine {
   std::size_t member_words_ = 0;  ///< words per member bitset
   /// A class view changed or split since the last merge pass.
   bool classes_changed_ = false;
-  // Reused scratch for solo_class, merge_equal_classes and the tracker.
+  // Reused scratch for solo_class, publish_to_range, merge_equal_classes
+  // and the tracker.
   std::vector<std::uint64_t> solo_members_;
+  std::vector<std::uint64_t> range_members_;
   std::vector<std::uint32_t> merge_slot_class_;
   std::vector<std::uint64_t> merge_slot_epoch_;
   std::uint64_t merge_epoch_ = 0;
@@ -308,11 +332,12 @@ class ExecutionEngine {
   ConsistencyTracker consistency_;
   std::vector<std::uint32_t> honest_counts_;
   std::uint64_t adversary_blocks_total_ = 0;
-  /// Current tip of every honest miner, written per member on each class
-  /// adoption (never rescanned).
-  std::vector<protocol::BlockIndex> tips_scratch_;
-  // Running maximum over tips_scratch_ (see note_adoption); best_view_ is
-  // a member id.
+  /// Tip of every honest miner as of the last honest_tips() read that
+  /// found it stale; an adoption only sets tips_stale_.
+  mutable std::vector<protocol::BlockIndex> tips_;
+  mutable bool tips_stale_ = false;
+  // Running maximum over the honest tips (see note_adoption); best_view_
+  // is a member id.
   protocol::BlockIndex best_tip_ = protocol::kGenesisIndex;
   std::uint64_t best_height_ = 0;
   std::uint32_t best_view_ = 0;

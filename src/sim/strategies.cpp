@@ -94,21 +94,17 @@ HonestPartition::HonestPartition(std::uint32_t honest_count)
 
 protocol::BlockIndex HonestPartition::group_tip(const AdversaryOps& ops,
                                                 std::uint8_t group) const {
-  const auto tips = ops.honest_tips();
-  const protocol::BlockStore& store = ops.store();
-  protocol::BlockIndex best = protocol::kGenesisIndex;
-  for (std::uint32_t m = 0; m < tips.size(); ++m) {
-    if (group_of(m) != group) continue;
-    if (store.height_of(tips[m]) > store.height_of(best)) best = tips[m];
-  }
-  return best;
+  return group == 0 ? ops.best_honest_tip_in(0, split_)
+                    : ops.best_honest_tip_in(split_, honest_count_);
 }
 
 void HonestPartition::publish_to_group(AdversaryOps& ops,
                                        protocol::BlockIndex block,
                                        std::uint8_t group) const {
-  for (std::uint32_t m = 0; m < honest_count_; ++m) {
-    if (group_of(m) == group) ops.publish_to(m, block, 1);
+  if (group == 0) {
+    ops.publish_to_range(0, split_, block, 1);
+  } else {
+    ops.publish_to_range(split_, honest_count_, block, 1);
   }
 }
 
@@ -255,9 +251,7 @@ void SelfishMiningAdversary::act(AdversaryOps& ops) {
           // the delay limit and loses every tie.
           ops.publish_to_all(block, ops.delta());
         } else {
-          for (std::uint32_t m = 0; m < fast; ++m) {
-            ops.publish_to(m, block, 1);
-          }
+          ops.publish_to_range(0, fast, block, 1);
           // Gossip echo delivers to the rest within Δ.
         }
       }

@@ -121,9 +121,10 @@ class HonestPartition {
     return miner < split_ ? 0 : 1;
   }
   /// Tip of the best chain a group works on: the highest tip among the
-  /// group's miners.
+  /// group's miners (AdversaryOps::best_honest_tip_in over its id range).
   [[nodiscard]] protocol::BlockIndex group_tip(const AdversaryOps& ops,
                                                std::uint8_t group) const;
+  /// Sends `block` to every miner of `group` with delay 1, in one call.
   void publish_to_group(AdversaryOps& ops, protocol::BlockIndex block,
                         std::uint8_t group) const;
   /// Refreshes the two tracked branch tips from honest progress: follow a

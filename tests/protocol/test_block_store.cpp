@@ -56,6 +56,45 @@ TEST(BlockStore, RejectsDuplicateHash) {
   EXPECT_THROW(append(store, kGenesisIndex, 100), ContractViolation);
 }
 
+TEST(BlockStore, AddChildKeysOnTheParentIndex) {
+  // The same tree built by hash (add) and by parent index (add_child).
+  BlockStore by_hash;
+  BlockStore by_index;
+  BlockIndex tip = kGenesisIndex;
+  for (HashValue h = 1; h <= 40; ++h) {
+    Block b;
+    b.hash = 1000 + h;
+    b.parent_hash = by_index.hash_of(tip);
+    b.round = h;
+    b.parent = 777;  // ignored: the index argument names the parent
+    EXPECT_EQ(by_hash.add(b), by_index.add_child(tip, b));
+    tip = static_cast<BlockIndex>(h);
+  }
+  for (BlockIndex i = 0; i < by_index.size(); ++i) {
+    EXPECT_EQ(by_index.parent_of(i), by_hash.parent_of(i));
+    EXPECT_EQ(by_index.height_of(i), by_hash.height_of(i));
+    EXPECT_EQ(by_index.ancestor(i, 13), by_hash.ancestor(i, 13));
+  }
+  EXPECT_EQ(by_index.index_of(1040), tip);
+
+  // A parent whose hash the block does not name, an unknown parent index
+  // and a duplicate hash are refused, and a refused block adds nothing.
+  Block wrong;
+  wrong.hash = 5;
+  wrong.parent_hash = 999;
+  wrong.round = 50;
+  EXPECT_THROW((void)by_index.add_child(tip, wrong), ContractViolation);
+  wrong.parent_hash = by_index.hash_of(tip);
+  EXPECT_THROW((void)by_index.add_child(
+                   static_cast<BlockIndex>(by_index.size()), wrong),
+               ContractViolation);
+  Block duplicate = wrong;
+  duplicate.hash = 1001;
+  EXPECT_THROW((void)by_index.add_child(tip, duplicate), ContractViolation);
+  EXPECT_EQ(by_index.size(), 41u);
+  EXPECT_FALSE(by_index.contains_hash(5));
+}
+
 TEST(BlockStore, RejectsRoundRegression) {
   BlockStore store;
   const BlockIndex a = append(store, kGenesisIndex, 100, /*round=*/5);

@@ -172,6 +172,44 @@ TEST(Spec, IntegersPastTwoToThe53FailNamingTheFieldAndTheLimit) {
                       "1.5");
 }
 
+TEST(Spec, ReportPrecisionIsBoundedAtParseNamingTheField) {
+  // Past 2^31 a precision used to narrow: 4294967297 printed one decimal
+  // and 4294967295 the cell "%.0-1f"; a label's {nu:99999999999} died at
+  // render time in stoi.  Each is now refused when the spec is read.
+  const auto column = [](const std::string& decimals) {
+    return R"({"name": "x", "report": {"columns": [{"value": "nu",
+              "decimals": )" + decimals + "}]}}";
+  };
+  expect_error_naming(column("4294967297"),
+                      "report.columns[].decimals: 4294967297 exceeds the "
+                      "maximum of 17");
+  expect_error_naming(column("4294967295"), "report.columns[].decimals");
+  expect_error_naming(column("18"), "report.columns[].decimals");
+  EXPECT_EQ(parse_scenario(column("17")).report.columns[0].decimals, 17);
+  const auto label = [](const std::string& label_template) {
+    return R"({"name": "x", "axes": [{"name": "nu", "values": [0.1]}],
+              "report": {"section_by": "nu", "section_label": ")" +
+           label_template + R"("}})";
+  };
+  expect_error_naming(label("nu = {nu:99999999999}"),
+                      "report.section_label: precision 99999999999 in "
+                      "\"{nu:99999999999}\" exceeds the maximum of 17");
+  expect_error_naming(label("{nu:18}"), "report.section_label");
+  expect_error_naming(label("{nu:x}"), "report.section_label");
+  expect_error_naming(label("nu = {nu"), "report.section_label");
+  EXPECT_EQ(parse_scenario(label("{{nu}} {nu:17}")).report.section_label,
+            "{{nu}} {nu:17}");
+  const std::vector<LabelPiece> pieces =
+      parse_label_template("{{a}} {nu:17}{bound}");
+  ASSERT_EQ(pieces.size(), 3u);
+  EXPECT_EQ(pieces[0].text, "{a} ");
+  EXPECT_EQ(pieces[0].decimals, -1);
+  EXPECT_EQ(pieces[1].text, "nu");
+  EXPECT_EQ(pieces[1].decimals, 17);
+  EXPECT_EQ(pieces[2].text, "bound");
+  EXPECT_EQ(pieces[2].decimals, 6);
+}
+
 TEST(Spec, RemovedRngKeyFailsNamingIt) {
   expect_error_naming(R"({"name": "x", "engine": {"rng": "counter"}})",
                       "engine.rng");

@@ -43,6 +43,10 @@ class OneQueryOps final : public AdversaryOps {
   protocol::BlockIndex best_honest_tip() const override {
     return inner_.best_honest_tip();
   }
+  protocol::BlockIndex best_honest_tip_in(std::uint32_t first,
+                                          std::uint32_t last) const override {
+    return inner_.best_honest_tip_in(first, last);
+  }
   std::uint64_t remaining_queries() const override {
     return inner_.remaining_queries();
   }
@@ -56,6 +60,11 @@ class OneQueryOps final : public AdversaryOps {
   void publish_to(std::uint32_t recipient, protocol::BlockIndex block,
                   std::uint64_t delay) override {
     inner_.publish_to(recipient, block, delay);
+  }
+  void publish_to_range(std::uint32_t first, std::uint32_t last,
+                        protocol::BlockIndex block,
+                        std::uint64_t delay) override {
+    inner_.publish_to_range(first, last, block, delay);
   }
   void publish_to_all(protocol::BlockIndex block,
                       std::uint64_t delay) override {
