@@ -19,7 +19,7 @@ DeliveryCalendar::DeliveryCalendar(std::uint32_t recipient_count)
       members_(words_per_set_, 0),
       all_members_(words_per_set_, 0) {
   NEATBOUND_EXPECTS(recipient_count > 0, "need at least one recipient");
-  set_all_members(all_members_, recipient_count_);
+  set_member_range(all_members_, 0, recipient_count_);
 }
 
 // neatbound-analyze: allow(contract-coverage) — private helper whose

@@ -51,16 +51,6 @@ void for_each_member(std::span<const std::uint64_t> members, Fn&& fn) {
   }
 }
 
-/// Sets exactly the bits of recipients [0, count) in `members`, which
-/// holds (count + 63) / 64 words.
-inline void set_all_members(std::span<std::uint64_t> members,
-                            std::uint32_t count) noexcept {
-  std::fill(members.begin(), members.end(), ~std::uint64_t{0});
-  if (count % 64 != 0) {
-    members.back() = (std::uint64_t{1} << (count % 64)) - 1;
-  }
-}
-
 /// Sets exactly the bits of recipients [first, last) in `members`, which
 /// must hold at least (last + 63) / 64 words; every other bit is cleared.
 inline void set_member_range(std::span<std::uint64_t> members,

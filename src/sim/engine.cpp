@@ -206,7 +206,7 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
   range_members_.assign(member_words_, 0);
   classes_.resize(1);
   classes_[0].members.resize(member_words_);
-  net::set_all_members(classes_[0].members, honest_count_);
+  net::set_member_range(classes_[0].members, 0, honest_count_);
   classes_[0].size = honest_count_;
   // There are never more classes than honest miners, so the merge pass's
   // table stays at most half full and its scratch never grows.

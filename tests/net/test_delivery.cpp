@@ -400,6 +400,39 @@ TEST(DeliveryCalendar, RejectsFarFutureSchedule) {
   EXPECT_EQ(calendar.pending(), 1u);
 }
 
+// Every range of a three-word set, against a bit-by-bit reference: the
+// first- and last-word masks of both helpers at every offset.
+TEST(MemberBitsets, RangeHelpersMatchABitByBitReference) {
+  constexpr std::uint32_t kBits = 192;
+  const auto has = [](const std::vector<std::uint64_t>& set,
+                      std::uint32_t r) {
+    return ((set[r / 64] >> (r % 64)) & 1) != 0;
+  };
+  std::vector<std::uint64_t> set(kBits / 64);
+  // One sparse pattern straddling both word boundaries.
+  std::vector<std::uint64_t> pattern(kBits / 64, 0);
+  for (const std::uint32_t r : {0u, 5u, 63u, 64u, 100u, 127u, 128u, 191u}) {
+    pattern[r / 64] |= std::uint64_t{1} << (r % 64);
+  }
+  for (std::uint32_t first = 0; first <= kBits; ++first) {
+    for (std::uint32_t last = 0; last <= kBits; ++last) {
+      set.assign(set.size(), 0x5555);
+      set_member_range(set, first, last);
+      std::uint32_t expected_first = last;
+      for (std::uint32_t r = 0; r < kBits; ++r) {
+        ASSERT_EQ(has(set, r), first <= r && r < last)
+            << "[" << first << ", " << last << ") bit " << r;
+        if (first <= r && r < last && has(pattern, r) &&
+            expected_first == last) {
+          expected_first = r;
+        }
+      }
+      ASSERT_EQ(first_member_in(pattern, first, last), expected_first)
+          << "[" << first << ", " << last << ")";
+    }
+  }
+}
+
 /// The delays `schedule` gives a broadcast by `sender` to `recipients`
 /// miners, with the sender's own (ignored) entry left at 0.
 std::vector<std::uint64_t> delays_of(DeliverySchedule& schedule,
